@@ -22,6 +22,14 @@ def synthetic_returns(rng, periods=120, assets=6):
     return means + market[:, None] + idio
 
 
+def write_returns_csv(path, values):
+    """Header A1..AN, then one row of full-precision decimal returns per period."""
+    header = ",".join(f"A{j + 1}" for j in range(values.shape[1]))
+    rows = "\n".join(",".join(repr(float(v)) for v in row) for row in values)
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + rows + "\n")
+
+
 def main():
     rng = np.random.default_rng(99)
     values = synthetic_returns(rng)
@@ -44,10 +52,7 @@ def main():
     # write the data so the CLI reproduces the same numbers:
     #   fracopt backtest --data <csv> --strategy srm-pga --window 20
     out = os.path.join(tempfile.gettempdir(), "fracopt_demo_returns.csv")
-    header = ",".join(f"A{j + 1}" for j in range(values.shape[1]))
-    rows = "\n".join(",".join(repr(v) for v in row) for row in values)
-    with open(out, "w") as fh:
-        fh.write(header + "\n" + rows + "\n")
+    write_returns_csv(out, values)
     print(f"\nreturns written to {out}")
 
 

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core import Status
 from .errors import (
     DegenerateSeries,
     FracoptError,
@@ -67,6 +68,7 @@ class BacktestReport:
     window: int
     eps_hat: float
     period_labels: Optional[tuple] = None
+    nonconverged_periods: tuple = ()
 
 
 def load_returns_csv(path, unit=ReturnsUnit.DECIMAL):
@@ -175,7 +177,9 @@ def run_backtest(r, cfg):
     the Sharpe strategy re-optimizes each period on exactly the trailing
     ``window`` rows. Buy-and-hold ignores the window: it starts equal at
     period 1 and only drifts thereafter. Solver errors are re-raised with
-    the 1-based period index prepended.
+    the 1-based period index prepended; the 1-based indices of periods whose
+    solve stopped without converging are listed in
+    ``report.nonconverged_periods``.
     """
     values = r.values
     total, n = values.shape
@@ -185,6 +189,7 @@ def run_backtest(r, cfg):
         )
     equal = np.full(n, 1.0 / n)
     weights = np.empty((total, n))
+    nonconverged = []
 
     if cfg.strategy is Strategy.MARKET:
         w = equal
@@ -203,9 +208,12 @@ def run_backtest(r, cfg):
                 model = build_sharpe_model(
                     ReturnsMatrix(window_rows, r.asset_labels), cfg.eps_hat
                 )
-                weights[t] = srm_pga(model).weights
+                res = srm_pga(model)
             except FracoptError as exc:
                 raise type(exc)(f"period {t + 1}: {exc}") from exc
+            weights[t] = res.weights
+            if res.result.status is not Status.CONVERGED:
+                nonconverged.append(t + 1)
 
     realized = (weights * (1.0 + values)).sum(axis=1) - 1.0
     if np.any(1.0 + realized <= 0.0):
@@ -223,6 +231,7 @@ def run_backtest(r, cfg):
         window=cfg.window,
         eps_hat=cfg.eps_hat,
         period_labels=r.period_labels,
+        nonconverged_periods=tuple(nonconverged),
     )
 
 

@@ -8,7 +8,17 @@ where P is the Euclidean projection onto the feasible set. The step size
 must stay below the problem's ``step_bound`` (the reciprocal of the
 gradient-Lipschitz constant of the shifted numerator); with that bound the
 ratio decreases monotonically along the iterates and the sequence converges
-to a fixed point of the update map.
+to a fixed point of the update map. That fixed step is the paper's path and
+the default of :func:`pga_solve`.
+
+The adaptive mode (``PgaConfig(adaptive=True)``) keeps the update and its
+monotone descent but picks the step per iteration: a Barzilai-Borwein
+(spectral) trial step, halved until the ratio decreases sufficiently, never
+below the admissible fixed step (after Birgin, Martinez & Raydan's spectral
+projected gradient and Bot & Csetnek's proximal-gradient methods for
+fractional programs). It stops on the step-normalised gradient mapping of
+the ratio, which, unlike the relative iterate change, does not shrink with
+the step size.
 
 An equivalent "shifted" sweep that subtracts a known lower bound M of the
 ratio from the numerator is provided for cross-checking: it produces the
@@ -29,6 +39,15 @@ from .errors import (
     ShiftViolation,
 )
 from .linalg import as_vector
+
+# Adaptive step: first trial step, Armijo constant of the ratio decrease test,
+# growth factor used when the last move shows no positive curvature, and the
+# cap on trial steps (the safeguard of Birgin, Martinez & Raydan's spectral
+# projected gradient).
+_FIRST_STEP = 1.0
+_SIGMA = 1e-4
+_GROWTH = 2.0
+_MAX_STEP = 1e30
 
 
 class Status(enum.Enum):
@@ -65,6 +84,10 @@ class FractionalProblem:
 
     def ratio(self, x):
         """f(x)/g(x) with positivity and NaN checks."""
+        return self.ratio_and_g(x)[0]
+
+    def ratio_and_g(self, x):
+        """(f(x)/g(x), g(x)) with the checks of :meth:`ratio`."""
         gx = float(self.eval_g(x))
         if math.isnan(gx):
             raise NumericalBreakdown("g(x) evaluated to NaN")
@@ -73,22 +96,35 @@ class FractionalProblem:
         fx = float(self.eval_f(x))
         if math.isnan(fx):
             raise NumericalBreakdown("f(x) evaluated to NaN")
-        return fx / gx
+        return fx / gx, gx
 
 
 @dataclass
 class PgaConfig:
-    """Step size, stopping rule, and trace switch for one solve.
+    """Step rule, stopping rule, and trace switch for one solve.
 
     ``alpha=None`` selects the default 0.99 * step_bound of the problem.
-    Stopping: relative iterate change ||x[k]-x[k-1]|| / ||x[k-1]|| <= tol
-    (absolute change when the previous iterate is the zero vector).
+
+    Fixed step (``adaptive=False``, the paper's iteration): every step is
+    alpha; stop when the relative iterate change
+    ||x[k]-x[k-1]|| / ||x[k-1]|| <= tol (absolute change when the previous
+    iterate is the zero vector).
+
+    Adaptive step (``adaptive=True``): with d = grad_f - c*grad_g the update
+    is x+ = P(x - a*d). The first trial step is a = 1, each later one the
+    Barzilai-Borwein step ||s||^2 / s.y (s = x+ - x, y = d+ - d), doubled
+    instead when s.y <= 0. A trial is halved until
+    c(x+) <= c(x) - 1e-4 * ||x+ - x||^2 / (a*g(x)), but never below alpha,
+    where the step is accepted as is, so the ratio still decreases
+    monotonically. Stop when the gradient mapping of the ratio
+    ||x+ - x|| / (a*g(x)) <= tol.
     """
 
     alpha: Optional[float] = None
     tol: float = 1e-5
     max_iter: int = 100_000
     record_trace: bool = False
+    adaptive: bool = False
 
     def __post_init__(self):
         if self.alpha is not None and not self.alpha > 0:
@@ -176,41 +212,94 @@ def _check_start(problem, x0):
     return problem.projection(x0)
 
 
+def _project_update(projection, step_dir, k):
+    # a NaN or Inf anywhere makes the sum non-finite
+    if not math.isfinite(float(step_dir.sum())):
+        raise NumericalBreakdown(f"non-finite update at iteration {k}")
+    return projection(step_dir)
+
+
+def _backtrack(x, c, d, gx, step, floor, projection, ratio_fn, k):
+    """Halve a trial step until the ratio decreases sufficiently.
+
+    Returns (step, x_next, c_next, g_next). Steps are never taken below
+    ``floor``, the admissible fixed step; a step clipped to it is accepted
+    as is.
+    """
+    while True:
+        if not step > floor:
+            step = floor
+        x_next = _project_update(projection, x - step * d, k)
+        c_next, g_next = ratio_fn(x_next)
+        if step == floor:
+            return step, x_next, c_next, g_next
+        diff = x_next - x
+        if c_next <= c - _SIGMA * float(diff @ diff) / (step * gx):
+            return step, x_next, c_next, g_next
+        step *= 0.5
+
+
 def _run_pga(problem, x0, cfg, numerator_grad, ratio_fn):
-    """Shared iteration loop; numerator_grad/ratio_fn select plain or shifted form."""
+    """Shared iteration loop; numerator_grad/ratio_fn select plain or shifted form.
+
+    ``ratio_fn(x)`` returns the pair (ratio, g(x)), so the adaptive mode
+    reuses the denominator it has already evaluated.
+
+    Returns (x, ratio, iterations, status, alpha, trace), where alpha is the
+    admissible fixed step: the step of every iteration in fixed mode, the
+    floor of the backtracking search in adaptive mode.
+    """
     alpha = _resolve_alpha(problem, cfg)
     x = _check_start(problem, x0)
     trace = SolveTrace() if cfg.record_trace else None
+    adaptive = cfg.adaptive
 
     status = Status.MAX_ITER_REACHED
     iterations = cfg.max_iter
     projection = problem.projection
     grad_g = problem.grad_g
+    c, gx = ratio_fn(x)
+    if adaptive:
+        # the update is P(x - step*d); d/g(x) is the gradient of the ratio
+        d = numerator_grad(x) - c * grad_g(x)
+        step = _FIRST_STEP
     for k in range(1, cfg.max_iter + 1):
-        c = ratio_fn(x)
-        step_dir = x - alpha * numerator_grad(x) + (alpha * c) * grad_g(x)
-        # a NaN or Inf anywhere makes the sum non-finite
-        if not math.isfinite(float(step_dir.sum())):
-            raise NumericalBreakdown(f"non-finite update at iteration {k}")
-        x_next = projection(step_dir)
+        if adaptive:
+            step, x_next, c_next, g_next = _backtrack(
+                x, c, d, gx, step, alpha, projection, ratio_fn, k
+            )
+        else:
+            step_dir = x - alpha * numerator_grad(x) + (alpha * c) * grad_g(x)
+            x_next = _project_update(projection, step_dir, k)
+            c_next, g_next = ratio_fn(x_next)
         diff = x_next - x
         move = math.sqrt(float(diff @ diff))
-        base = math.sqrt(float(x @ x))
         if trace is not None:
             trace.iterates.append(x)
             trace.ratios.append(c)
             trace.steps.append(move)
-        rel = move / base if base > 0.0 else move
-        x = x_next
-        if rel <= cfg.tol:
+        if adaptive:
+            # gradient mapping of the ratio, whose own step is step*g(x)
+            measure = move / (step * gx)
+        else:
+            base = math.sqrt(float(x @ x))
+            measure = move / base if base > 0.0 else move
+        x, c, gx = x_next, c_next, g_next
+        if measure <= cfg.tol:
             status = Status.CONVERGED
             iterations = k
             break
-    c_final = ratio_fn(x)
+        if adaptive:
+            d_next = numerator_grad(x) - c * grad_g(x)
+            curvature = float(diff @ (d_next - d))
+            # Barzilai-Borwein step; grow instead when the move shows no curvature
+            step = move * move / curvature if curvature > 0.0 else _GROWTH * step
+            step = min(step, _MAX_STEP)
+            d = d_next
     if trace is not None:
         trace.iterates.append(x)
-        trace.ratios.append(c_final)
-    return x, c_final, iterations, status, alpha, trace
+        trace.ratios.append(c)
+    return x, c, iterations, status, alpha, trace
 
 
 def pga_solve(problem, x0, cfg=None):
@@ -222,17 +311,19 @@ def pga_solve(problem, x0, cfg=None):
     x0 : array_like
         Starting point; projected onto the feasible set before iterating.
     cfg : PgaConfig, optional
-        Defaults: alpha = 0.99 * step_bound, tol = 1e-5, max_iter = 1e5.
+        Defaults: fixed step alpha = 0.99 * step_bound, tol = 1e-5,
+        max_iter = 1e5.
 
     Returns
     -------
     SolveResult with the terminal iterate, the ratio value there, the
     iteration count, status, and the fixed-point residual at the terminal
-    point. ``result.trace`` is populated when cfg.record_trace is set.
+    point, measured at the fixed step alpha in both modes.
+    ``result.trace`` is populated when cfg.record_trace is set.
     """
     cfg = cfg or PgaConfig()
     x, c, iterations, status, alpha, trace = _run_pga(
-        problem, x0, cfg, problem.grad_f, problem.ratio
+        problem, x0, cfg, problem.grad_f, problem.ratio_and_g
     )
     residual = fixed_point_residual(problem, x, alpha)
     return SolveResult(x, c, iterations, status, residual, trace)
@@ -250,12 +341,13 @@ def pga_solve_shifted(problem, shift, x0, cfg=None):
     shift = float(shift)
 
     def shifted_ratio(x):
-        c = problem.ratio(x) - shift
+        c, gx = problem.ratio_and_g(x)
+        c -= shift
         if c < -1e-10:
             raise ShiftViolation(
                 f"shifted ratio {c} < 0: {shift} is not a lower bound of f/g"
             )
-        return c
+        return c, gx
 
     def shifted_grad(x):
         return problem.grad_f(x) - shift * problem.grad_g(x)

@@ -1,8 +1,11 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracopt.backtest
 from fracopt.backtest import (
     BacktestConfig,
     ReturnsUnit,
@@ -22,7 +25,8 @@ from fracopt.errors import (
     ParseError,
     WealthWipeout,
 )
-from fracopt.sharpe import returns_matrix
+from fracopt.core import PgaConfig
+from fracopt.sharpe import returns_matrix, srm_pga
 
 
 def write_csv(tmp_path, text, name="returns.csv"):
@@ -238,6 +242,26 @@ class TestRunBacktest:
         with pytest.raises(Exception, match="period 5"):
             run_backtest(returns_matrix(values), BacktestConfig(window=4, strategy="srm-pga"))
 
+    def test_all_periods_converge_at_defaults(self):
+        rng = np.random.default_rng(151)
+        values = rng.normal(0.005, 0.04, size=(30, 6))
+        report = run_backtest(returns_matrix(values), BacktestConfig(window=20))
+        assert report.nonconverged_periods == ()
+
+    def test_nonconverged_periods_reported(self, monkeypatch):
+        def truncated(model):
+            return srm_pga(model, PgaConfig(adaptive=True, max_iter=1))
+
+        monkeypatch.setattr(fracopt.backtest, "srm_pga", truncated)
+        rng = np.random.default_rng(151)
+        values = rng.normal(0.005, 0.04, size=(30, 6))
+        report = run_backtest(returns_matrix(values), BacktestConfig(window=20))
+        # periods 21..30 are re-optimized; one iteration cannot converge from equal weights
+        assert report.nonconverged_periods == tuple(range(21, 31))
+        for strategy in ("one-over-n", "market"):
+            other = run_backtest(returns_matrix(values), BacktestConfig(window=20, strategy=strategy))
+            assert other.nonconverged_periods == ()
+
     def test_config_validation(self):
         with pytest.raises(InvalidParameter):
             BacktestConfig(window=1)
@@ -270,3 +294,17 @@ class TestExport:
         first = lines[1].split(",")
         assert float(first[1]) == report.realized_returns[0]
         assert float(first[2]) == report.wealth_path[0]
+
+
+def test_demo_csv_loads_back(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "demos" / "backtest_strategies.py"
+    spec = importlib.util.spec_from_file_location("backtest_strategies_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    values = demo.synthetic_returns(np.random.default_rng(99), periods=8, assets=3)
+    out = tmp_path / "demo_returns.csv"
+    demo.write_returns_csv(out, values)
+    r = load_returns_csv(out)
+    assert r.asset_labels == ("A1", "A2", "A3")
+    assert r.period_labels is None
+    assert np.array_equal(r.values, values)
