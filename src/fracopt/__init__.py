@@ -7,7 +7,6 @@ harness.
 """
 
 from .core import (
-    DinkelbachConfig,
     FractionalProblem,
     PgaConfig,
     SolveResult,
@@ -18,7 +17,7 @@ from .core import (
     pga_solve,
     pga_solve_shifted,
 )
-from .dinkelbach import dinkelbach_solve
+from .dinkelbach import DinkelbachConfig, dinkelbach_solve
 from .linalg import dominant_eigenvalue
 from .models import (
     Sim1Params,
@@ -29,7 +28,7 @@ from .models import (
     sim2_gradient_oracle,
     sim2_is_global,
 )
-from .projections import band_projector, project_band, project_simplex
+from .projections import band_projector, project_simplex
 from .sharpe import (
     ReturnsMatrix,
     SharpeModel,
@@ -83,7 +82,6 @@ __all__ = [
     "market_strategy_step",
     "pga_solve",
     "pga_solve_shifted",
-    "project_band",
     "project_simplex",
     "returns_matrix",
     "run_backtest",

@@ -46,11 +46,9 @@ class BacktestConfig:
     window: int = 20
     strategy: Strategy = Strategy.SRM_PGA
     eps_hat: float = 1e-4
-    returns_unit: ReturnsUnit = ReturnsUnit.DECIMAL
 
     def __post_init__(self):
         self.strategy = Strategy(self.strategy)
-        self.returns_unit = ReturnsUnit(self.returns_unit)
         if self.window < 2:
             raise InvalidParameter(f"window must be >= 2, got {self.window}")
         if not self.eps_hat > 0:

@@ -120,12 +120,8 @@ def cmd_sim2(args):
 
 
 def cmd_sharpe(args):
-    try:
-        returns = bt.load_returns_csv(args.data, args.unit)
-        model = build_sharpe_model(returns, args.eps)
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    returns = bt.load_returns_csv(args.data, args.unit)
+    model = build_sharpe_model(returns, args.eps)
     res = srm_pga(model)
     print("weights:")
     for label, w in zip(returns.asset_labels, res.weights):
@@ -156,18 +152,9 @@ def cmd_backtest(args):
         window=args.window,
         strategy=args.strategy,
         eps_hat=args.eps,
-        returns_unit=args.unit,
     )
-    try:
-        returns = bt.load_returns_csv(args.data, args.unit)
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        report = bt.run_backtest(returns, cfg)
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    returns = bt.load_returns_csv(args.data, args.unit)
+    report = bt.run_backtest(returns, cfg)
     json_path = os.path.join(args.out, "backtest_report.json")
     csv_path = os.path.join(args.out, "backtest_periods.csv")
     bt.report_to_json(report, json_path)

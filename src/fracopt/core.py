@@ -2,23 +2,25 @@
 
 The solver minimizes f(x)/g(x) over a closed convex set by iterating
 
-    x[k+1] = P( x[k] - alpha*grad_f(x[k]) + alpha*(f(x[k])/g(x[k]))*grad_g(x[k]) )
+    x[k+1] = P( x[k] - a*grad_f(x[k]) + a*(f(x[k])/g(x[k]))*grad_g(x[k]) )
 
-where P is the Euclidean projection onto the feasible set. The step size
-must stay below the problem's ``step_bound`` (the reciprocal of the
+where P is the Euclidean projection onto the feasible set. The fixed step
+alpha must stay below the problem's ``step_bound`` (the reciprocal of the
 gradient-Lipschitz constant of the shifted numerator); with that bound the
 ratio decreases monotonically along the iterates and the sequence converges
-to a fixed point of the update map. That fixed step is the paper's path and
-the default of :func:`pga_solve`.
+to a fixed point of the update map.
 
-The adaptive mode (``PgaConfig(adaptive=True)``) keeps the update and its
-monotone descent but picks the step per iteration: a Barzilai-Borwein
-(spectral) trial step, halved until the ratio decreases sufficiently, never
-below the admissible fixed step (after Birgin, Martinez & Raydan's spectral
-projected gradient and Bot & Csetnek's proximal-gradient methods for
-fractional programs). It stops on the step-normalised gradient mapping of
-the ratio, which, unlike the relative iterate change, does not shrink with
-the step size.
+Every iteration runs one step search. A trial step a is halved until the
+ratio decreases sufficiently, but never below alpha, where the step is
+accepted as is. The two step rules differ only in the trial step and the
+stopping test. The fixed rule (the paper's path and the default of
+:func:`pga_solve`) tries alpha itself, so each step takes one projection,
+and stops on the relative iterate change. The adaptive rule
+(``PgaConfig(adaptive=True)``) tries a Barzilai-Borwein (spectral) step
+(after Birgin, Martinez & Raydan's spectral projected gradient and Bot &
+Csetnek's proximal-gradient methods for fractional programs) and stops on
+the step-normalised gradient mapping of the ratio, which, unlike the
+relative iterate change, does not shrink with the step size.
 
 An equivalent "shifted" sweep that subtracts a known lower bound M of the
 ratio from the numerator is provided for cross-checking: it produces the
@@ -105,19 +107,21 @@ class PgaConfig:
 
     ``alpha=None`` selects the default 0.99 * step_bound of the problem.
 
-    Fixed step (``adaptive=False``, the paper's iteration): every step is
-    alpha; stop when the relative iterate change
+    Both rules take the update x+ = P(x - a*grad_f + a*c*grad_g) with
+    c = f(x)/g(x), and search the step a the same way: a trial step is
+    halved until c(x+) <= c(x) - 1e-4 * ||x+ - x||^2 / (a*g(x)), but never
+    below alpha, where the step is accepted as is, so the ratio decreases
+    monotonically.
+
+    Fixed step (``adaptive=False``, the paper's iteration): the trial step
+    is alpha, so every step is alpha; stop when the relative iterate change
     ||x[k]-x[k-1]|| / ||x[k-1]|| <= tol (absolute change when the previous
     iterate is the zero vector).
 
-    Adaptive step (``adaptive=True``): with d = grad_f - c*grad_g the update
-    is x+ = P(x - a*d). The first trial step is a = 1, each later one the
-    Barzilai-Borwein step ||s||^2 / s.y (s = x+ - x, y = d+ - d), doubled
-    instead when s.y <= 0. A trial is halved until
-    c(x+) <= c(x) - 1e-4 * ||x+ - x||^2 / (a*g(x)), but never below alpha,
-    where the step is accepted as is, so the ratio still decreases
-    monotonically. Stop when the gradient mapping of the ratio
-    ||x+ - x|| / (a*g(x)) <= tol.
+    Adaptive step (``adaptive=True``): with d = grad_f - c*grad_g, the first
+    trial step is a = 1, each later one the Barzilai-Borwein step
+    ||s||^2 / s.y (s = x+ - x, y = d+ - d), doubled instead when s.y <= 0.
+    Stop when the gradient mapping of the ratio ||x+ - x|| / (a*g(x)) <= tol.
     """
 
     alpha: Optional[float] = None
@@ -133,22 +137,6 @@ class PgaConfig:
             raise InvalidParameter(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise InvalidParameter(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-@dataclass
-class DinkelbachConfig:
-    """Outer/inner tolerances and budgets for the parametric reference solver."""
-
-    outer_tol: float = 1e-8
-    max_outer: int = 100
-    inner_tol: float = 1e-10
-    max_inner: int = 100_000
-    record_trace: bool = False
-
-    def __post_init__(self):
-        for name in ("outer_tol", "max_outer", "inner_tol", "max_inner"):
-            if not getattr(self, name) > 0:
-                raise InvalidParameter(f"{name} must be positive")
 
 
 @dataclass
@@ -174,9 +162,9 @@ class SolveResult:
     trace: Optional[SolveTrace] = None
 
 
-def default_alpha(problem, safety=0.99):
-    """Step size at the customary safety fraction of the admissible bound."""
-    return safety * problem.step_bound
+def default_alpha(problem):
+    """Step size at the customary safety fraction 0.99 of the admissible bound."""
+    return 0.99 * problem.step_bound
 
 
 def fixed_point_residual(problem, x, alpha):
@@ -219,60 +207,73 @@ def _project_update(projection, step_dir, k):
     return projection(step_dir)
 
 
-def _backtrack(x, c, d, gx, step, floor, projection, ratio_fn, k):
-    """Halve a trial step until the ratio decreases sufficiently.
+def _shifted_oracle(problem, shift):
+    """(ratio_and_g, numerator gradient) of the shifted numerator f - shift*g."""
 
-    Returns (step, x_next, c_next, g_next). Steps are never taken below
-    ``floor``, the admissible fixed step; a step clipped to it is accepted
-    as is.
-    """
-    while True:
-        if not step > floor:
-            step = floor
-        x_next = _project_update(projection, x - step * d, k)
-        c_next, g_next = ratio_fn(x_next)
-        if step == floor:
-            return step, x_next, c_next, g_next
-        diff = x_next - x
-        if c_next <= c - _SIGMA * float(diff @ diff) / (step * gx):
-            return step, x_next, c_next, g_next
-        step *= 0.5
+    def shifted_ratio(x):
+        c, gx = problem.ratio_and_g(x)
+        c -= shift
+        if c < -1e-10:
+            raise ShiftViolation(
+                f"shifted ratio {c} < 0: {shift} is not a lower bound of f/g"
+            )
+        return c, gx
+
+    def shifted_grad(x):
+        return problem.grad_f(x) - shift * problem.grad_g(x)
+
+    return shifted_ratio, shifted_grad
 
 
-def _run_pga(problem, x0, cfg, numerator_grad, ratio_fn):
-    """Shared iteration loop; numerator_grad/ratio_fn select plain or shifted form.
+def _run_pga(problem, x0, cfg, shift=None):
+    """The solver loop of both step rules; ``shift`` selects the shifted form.
 
-    ``ratio_fn(x)`` returns the pair (ratio, g(x)), so the adaptive mode
-    reuses the denominator it has already evaluated.
-
-    Returns (x, ratio, iterations, status, alpha, trace), where alpha is the
+    Returns a SolveResult whose residual is measured at alpha, the
     admissible fixed step: the step of every iteration in fixed mode, the
-    floor of the backtracking search in adaptive mode.
+    floor of the step search in adaptive mode.
     """
     alpha = _resolve_alpha(problem, cfg)
     x = _check_start(problem, x0)
     trace = SolveTrace() if cfg.record_trace else None
     adaptive = cfg.adaptive
+    if shift is None:
+        ratio_fn, numerator_grad = problem.ratio_and_g, problem.grad_f
+    else:
+        ratio_fn, numerator_grad = _shifted_oracle(problem, shift)
+    projection = problem.projection
+    grad_g = problem.grad_g
 
     status = Status.MAX_ITER_REACHED
     iterations = cfg.max_iter
-    projection = problem.projection
-    grad_g = problem.grad_g
     c, gx = ratio_fn(x)
-    if adaptive:
-        # the update is P(x - step*d); d/g(x) is the gradient of the ratio
-        d = numerator_grad(x) - c * grad_g(x)
-        step = _FIRST_STEP
+    step = alpha
     for k in range(1, cfg.max_iter + 1):
+        grad_n = numerator_grad(x)
+        grad_d = grad_g(x)
         if adaptive:
-            step, x_next, c_next, g_next = _backtrack(
-                x, c, d, gx, step, alpha, projection, ratio_fn, k
-            )
-        else:
-            step_dir = x - alpha * numerator_grad(x) + (alpha * c) * grad_g(x)
+            # d/g(x) is the gradient of the ratio; the trial step is the
+            # Barzilai-Borwein step of the last move, grown instead when the
+            # move shows no curvature
+            d_next = grad_n - c * grad_d
+            if k == 1:
+                step = _FIRST_STEP
+            else:
+                curvature = float(diff @ (d_next - d))
+                step = move * move / curvature if curvature > 0.0 else _GROWTH * step
+                step = min(step, _MAX_STEP)
+            d = d_next
+        # step search: halve the trial until the ratio decreases sufficiently,
+        # never below alpha, where the step is accepted as is
+        while True:
+            if not step > alpha:
+                step = alpha
+            step_dir = x - step * grad_n + (step * c) * grad_d
             x_next = _project_update(projection, step_dir, k)
             c_next, g_next = ratio_fn(x_next)
-        diff = x_next - x
+            diff = x_next - x
+            if step == alpha or c_next <= c - _SIGMA * float(diff @ diff) / (step * gx):
+                break
+            step *= 0.5
         move = math.sqrt(float(diff @ diff))
         if trace is not None:
             trace.iterates.append(x)
@@ -289,17 +290,11 @@ def _run_pga(problem, x0, cfg, numerator_grad, ratio_fn):
             status = Status.CONVERGED
             iterations = k
             break
-        if adaptive:
-            d_next = numerator_grad(x) - c * grad_g(x)
-            curvature = float(diff @ (d_next - d))
-            # Barzilai-Borwein step; grow instead when the move shows no curvature
-            step = move * move / curvature if curvature > 0.0 else _GROWTH * step
-            step = min(step, _MAX_STEP)
-            d = d_next
     if trace is not None:
         trace.iterates.append(x)
         trace.ratios.append(c)
-    return x, c, iterations, status, alpha, trace
+    residual = fixed_point_residual(problem, x, alpha)
+    return SolveResult(x, c, iterations, status, residual, trace)
 
 
 def pga_solve(problem, x0, cfg=None):
@@ -321,12 +316,7 @@ def pga_solve(problem, x0, cfg=None):
     point, measured at the fixed step alpha in both modes.
     ``result.trace`` is populated when cfg.record_trace is set.
     """
-    cfg = cfg or PgaConfig()
-    x, c, iterations, status, alpha, trace = _run_pga(
-        problem, x0, cfg, problem.grad_f, problem.ratio_and_g
-    )
-    residual = fixed_point_residual(problem, x, alpha)
-    return SolveResult(x, c, iterations, status, residual, trace)
+    return _run_pga(problem, x0, cfg or PgaConfig())
 
 
 def pga_solve_shifted(problem, shift, x0, cfg=None):
@@ -337,23 +327,4 @@ def pga_solve_shifted(problem, shift, x0, cfg=None):
     -1e-10) raises ShiftViolation. The iterate sequence is algebraically
     identical to :func:`pga_solve`; the reported ratios are the shifted ones.
     """
-    cfg = cfg or PgaConfig()
-    shift = float(shift)
-
-    def shifted_ratio(x):
-        c, gx = problem.ratio_and_g(x)
-        c -= shift
-        if c < -1e-10:
-            raise ShiftViolation(
-                f"shifted ratio {c} < 0: {shift} is not a lower bound of f/g"
-            )
-        return c, gx
-
-    def shifted_grad(x):
-        return problem.grad_f(x) - shift * problem.grad_g(x)
-
-    x, c, iterations, status, alpha, trace = _run_pga(
-        problem, x0, cfg, shifted_grad, shifted_ratio
-    )
-    residual = fixed_point_residual(problem, x, alpha)
-    return SolveResult(x, c, iterations, status, residual, trace)
+    return _run_pga(problem, x0, cfg or PgaConfig(), float(shift))

@@ -7,11 +7,29 @@ stays nonnegative and every subproblem stays convex. Used as an independent
 cross-check of the proximal gradient path.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .core import DinkelbachConfig, SolveResult, SolveTrace, Status, default_alpha, fixed_point_residual
+from .core import SolveResult, SolveTrace, Status, default_alpha, fixed_point_residual
 from .errors import InnerSolverFailure, InvalidParameter, InvalidStart
 from .linalg import as_vector
+
+
+@dataclass
+class DinkelbachConfig:
+    """Outer/inner tolerances and budgets for the parametric reference solver."""
+
+    outer_tol: float = 1e-8
+    max_outer: int = 100
+    inner_tol: float = 1e-10
+    max_inner: int = 100_000
+    record_trace: bool = False
+
+    def __post_init__(self):
+        for name in ("outer_tol", "max_outer", "inner_tol", "max_inner"):
+            if not getattr(self, name) > 0:
+                raise InvalidParameter(f"{name} must be positive")
 
 
 def _projected_gradient(problem, c, x, step, tol, max_iter):

@@ -1,7 +1,7 @@
-"""Dense vector/matrix helpers and dominant-eigenvalue estimation.
+"""Input validation and dominant-eigenvalue estimation.
 
 All arithmetic is 64-bit floating point on numpy arrays. Vectors and
-matrices are validated on entry (finite, dimensionally consistent) and the
+matrices are validated on entry (finite, of the expected rank) and the
 routines never mutate their inputs.
 """
 
@@ -30,38 +30,6 @@ def as_matrix(m):
     if not np.all(np.isfinite(a)):
         raise InvalidParameter("matrix entries must be finite (no NaN/Inf)")
     return a
-
-
-def matvec(m, v):
-    """Matrix-vector product with explicit dimension checking."""
-    m = as_matrix(m)
-    v = as_vector(v)
-    if m.shape[1] != v.shape[0]:
-        raise DimensionError(f"matvec: {m.shape} incompatible with length {v.shape[0]}")
-    return m @ v
-
-
-def dot(u, v):
-    """Euclidean inner product of two equal-length vectors."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.shape != v.shape:
-        raise DimensionError(f"dot: lengths {u.shape[0]} and {v.shape[0]} differ")
-    return float(u @ v)
-
-
-def norm2(v):
-    """Euclidean norm of a vector."""
-    return float(np.linalg.norm(as_vector(v)))
-
-
-def axpy(a, x, y):
-    """Return a*x + y for scalar a and equal-length vectors x, y."""
-    x = as_vector(x)
-    y = as_vector(y)
-    if x.shape != y.shape:
-        raise DimensionError(f"axpy: lengths {x.shape[0]} and {y.shape[0]} differ")
-    return float(a) * x + y
 
 
 def dominant_eigenvalue(m, tol=1e-10, max_iter=10_000):

@@ -32,16 +32,6 @@ def project_simplex(x):
     return np.maximum(x - theta, 0.0)
 
 
-def project_band(x, a0):
-    """Project x in R^2 onto {u : |u2| <= a0}: clamp the second coordinate."""
-    if a0 <= 0:
-        raise InvalidParameter(f"band half-width must be positive, got {a0}")
-    x = as_vector(x)
-    if x.shape[0] != 2:
-        raise DimensionError(f"band projection needs dimension 2, got {x.shape[0]}")
-    return np.array([x[0], np.clip(x[1], -a0, a0)])
-
-
 def band_projector(a0):
     """Return a one-argument projection operator onto the band of half-width a0.
 

@@ -21,7 +21,7 @@ from fracopt.core import (
     pga_solve,
     pga_solve_shifted,
 )
-from fracopt.errors import NumericalBreakdown
+from fracopt.errors import NumericalBreakdown, ShiftViolation
 from fracopt.models import (
     Sim1Params,
     Sim2Params,
@@ -135,6 +135,11 @@ class TestAdaptiveMode:
         for a, b in zip(plain.trace.iterates, shifted.trace.iterates):
             assert np.allclose(a, b, atol=1e-10)
         assert shifted.ratio == pytest.approx(plain.ratio - shift, abs=1e-12)
+
+    def test_invalid_shift_raises(self):
+        # the ratio dips below zero on this problem, so 0 is not a lower bound
+        with pytest.raises(ShiftViolation):
+            pga_solve_shifted(build_sim1(SIM1_A), 0.0, [0.5, 0.5], PgaConfig(adaptive=True))
 
     def test_max_iter_reached(self):
         res = pga_solve(build_sim1(SIM1_B), [0.5, 0.5], PgaConfig(adaptive=True, max_iter=1))

@@ -150,6 +150,13 @@ class TestSharpeCommand:
         code, _, _ = run_cli(capsys, "sharpe", "--data", data, "--out", str(tmp_path))
         assert code == 4
 
+    def test_all_zero_means_exit_4(self, capsys, tmp_path):
+        # DegenerateModel: the step bound is undefined when every mean is zero
+        data = write_csv(tmp_path, "A,B\n0.01,-0.02\n-0.01,0.02\n")
+        code, _, err = run_cli(capsys, "sharpe", "--data", data, "--out", str(tmp_path))
+        assert code == 4
+        assert "error: all-zero mean returns" in err
+
 
 class TestBacktestCommand:
     def test_equal_weight_sharpe_matches_row_means(self, capsys, tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fracopt.core import DinkelbachConfig, FractionalProblem, PgaConfig, Status, pga_solve
-from fracopt.dinkelbach import dinkelbach_solve
+from fracopt.core import FractionalProblem, PgaConfig, Status, pga_solve
+from fracopt.dinkelbach import DinkelbachConfig, dinkelbach_solve
 from fracopt.errors import InnerSolverFailure, InvalidParameter, InvalidStart
 from fracopt.models import Sim1Params, build_sim1
 from fracopt.projections import project_simplex

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fracopt.errors import DimensionError, InvalidMatrix, InvalidParameter, NoConvergence
-from fracopt.linalg import as_vector, axpy, dominant_eigenvalue, dot, matvec, norm2
+from fracopt.errors import InvalidMatrix, InvalidParameter, NoConvergence
+from fracopt.linalg import as_vector, dominant_eigenvalue
 
 
 def random_psd(rng, n):
@@ -74,40 +74,8 @@ class TestDominantEigenvalue:
 
 
 class TestDenseOps:
-    def test_matvec_identity(self):
-        assert np.array_equal(matvec(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
-
-    def test_matvec_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            matvec(np.eye(3), [1.0, 2.0])
-
-    def test_norm2_345(self):
-        assert norm2([3.0, 4.0]) == 5.0
-
-    def test_dot(self):
-        assert dot([2.0, -1.0], [0.5, 0.5]) == 0.5
-
-    def test_dot_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            dot([1.0], [1.0, 2.0])
-
-    def test_axpy(self):
-        assert np.allclose(axpy(2.0, [1.0, 2.0], [10.0, 20.0]), [12.0, 24.0])
-
-    def test_axpy_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            axpy(1.0, [1.0, 2.0], [1.0])
-
-    def test_norm_squared_equals_self_dot(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            v = rng.normal(size=int(rng.integers(1, 30)))
-            n2 = norm2(v) ** 2
-            d = dot(v, v)
-            assert abs(n2 - d) <= 1e-12 * max(1.0, abs(d))
-
     def test_nan_rejected_on_construction(self):
         with pytest.raises(InvalidParameter):
             as_vector([1.0, np.nan])
         with pytest.raises(InvalidParameter):
-            matvec([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0])
+            dominant_eigenvalue([[np.inf, 0.0], [0.0, 1.0]])

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import simplex_qp_oracle
 from fracopt.errors import DimensionError, InvalidParameter
-from fracopt.projections import band_projector, project_band, project_simplex
+from fracopt.projections import band_projector, project_simplex
 
 
 class TestSimplex:
@@ -56,23 +56,19 @@ class TestSimplex:
 
 class TestBand:
     def test_interior_unchanged(self):
-        assert np.allclose(project_band([5.0, 50.0], 100.0), [5.0, 50.0])
+        assert np.allclose(band_projector(100.0)([5.0, 50.0]), [5.0, 50.0])
 
     def test_clamp_above(self):
-        assert np.allclose(project_band([85.5941, 120.0], 100.0), [85.5941, 100.0])
+        assert np.allclose(band_projector(100.0)([85.5941, 120.0]), [85.5941, 100.0])
 
     def test_clamp_below(self):
-        assert np.allclose(project_band([0.0, -150.0], 100.0), [0.0, -100.0])
+        assert np.allclose(band_projector(100.0)([0.0, -150.0]), [0.0, -100.0])
 
     def test_bad_half_width(self):
         with pytest.raises(InvalidParameter):
-            project_band([0.0, 0.0], 0.0)
+            band_projector(0.0)
         with pytest.raises(InvalidParameter):
             band_projector(-1.0)
-
-    def test_wrong_dimension(self):
-        with pytest.raises(DimensionError):
-            project_band([1.0, 2.0, 3.0], 10.0)
 
 
 @pytest.mark.parametrize(

@@ -85,7 +85,7 @@ def factor_panel(n, seed):
     return mu + rng.normal(size=(t, 3)) @ loadings.T + rng.normal(size=(t, n)) * vol
 
 
-@pytest.mark.parametrize("n", [8, 30, 60])
+@pytest.mark.parametrize("n", [8, 30, 60, 100])
 @pytest.mark.parametrize("seed", [17, 29])
 def test_srm_pga_matches_the_qp_optimum(n, seed):
     model = build_sharpe_model(returns_matrix(factor_panel(n, seed)))
