@@ -165,6 +165,10 @@ def cmd_backtest(args):
     print(f"final wealth: {_fmt(report.final_wealth)}")
     print(f"report:       {json_path}")
     print(f"periods csv:  {csv_path}")
+    if report.nonconverged_periods:
+        periods = ", ".join(str(t) for t in report.nonconverged_periods)
+        print(f"warning: periods {periods} did not converge", file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_OK
 
 

@@ -271,10 +271,11 @@ def _run_pga(problem, x0, cfg, shift=None):
             x_next = _project_update(projection, step_dir, k)
             c_next, g_next = ratio_fn(x_next)
             diff = x_next - x
-            if step == alpha or c_next <= c - _SIGMA * float(diff @ diff) / (step * gx):
+            dd = float(diff @ diff)
+            if step == alpha or c_next <= c - _SIGMA * dd / (step * gx):
                 break
             step *= 0.5
-        move = math.sqrt(float(diff @ diff))
+        move = math.sqrt(dd)
         if trace is not None:
             trace.iterates.append(x)
             trace.ratios.append(c)

@@ -3,12 +3,17 @@
 A projection operator is any callable mapping a point to its closest point
 (in the 2-norm) of a fixed closed convex set. Two sets ship here: the
 probability simplex and the horizontal band {x in R^2 : |x2| <= a0}.
+
+The simplex projection validates its input (rank, non-empty, finite)
+without a defensive copy: finiteness is read off the running sum that the
+projection computes anyway, so a valid input costs no extra pass.
 """
+
+import math
 
 import numpy as np
 
-from .errors import DimensionError, InvalidParameter
-from .linalg import as_vector
+from .errors import DimensionError, InvalidParameter, NumericalBreakdown
 
 
 def project_simplex(x):
@@ -17,17 +22,35 @@ def project_simplex(x):
     Sort-based exact method: sort descending, find the largest support size
     j' whose running average keeps the shifted entries positive, subtract
     the threshold, clip at zero. O(n log n), no iteration.
+
+    Raises DimensionError for input that is not a non-empty 1-d vector,
+    InvalidParameter for NaN or Inf entries, and NumericalBreakdown when the
+    entries are too large for the support test to resolve in float64. The
+    input is never mutated; the result is a new float64 array.
     """
-    x = as_vector(x)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DimensionError(f"expected a 1-d vector, got ndim={x.ndim}")
     n = x.shape[0]
     if n == 0:
         raise DimensionError("cannot project an empty vector")
-    u = np.sort(x, kind="stable")[::-1]
-    css = np.cumsum(u)
+    u = x.copy()
+    u.sort(kind="stable")
+    u = u[::-1]
+    css = u.cumsum()
+    # a NaN or Inf entry makes the total non-finite; finite entries whose
+    # total overflows are left to the support test below
+    if not math.isfinite(css[-1]) and not np.all(np.isfinite(x)):
+        raise InvalidParameter("vector entries must be finite (no NaN/Inf)")
     j = np.arange(1, n + 1)
-    # strict > per the support rule; j=1 always qualifies since u[0]-(u[0]-1)=1
+    # strict > per the support rule; j=1 qualifies since u[0]-(u[0]-1)=1,
+    # unless u[0] is so large (about 1e16 and up) that u[0]-1 rounds to u[0]
     positive = u - (css - 1.0) / j > 0
-    jp = int(np.nonzero(positive)[0][-1]) + 1
+    jp = n - int(positive[::-1].argmax())
+    if not positive[jp - 1]:
+        raise NumericalBreakdown(
+            f"simplex projection lost precision: no support size qualifies (max entry {u[0]})"
+        )
     theta = (css[jp - 1] - 1.0) / jp
     return np.maximum(x - theta, 0.0)
 

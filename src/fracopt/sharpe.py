@@ -20,6 +20,7 @@ adaptive solve that ends without a global certificate is run again from the
 vertex of the largest positive mean, where it is certified.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -138,7 +139,7 @@ def sharpe_problem(model):
         return -float(p @ w)
 
     def eval_g(w):
-        return float(np.sqrt(w @ q_eps @ w))
+        return math.sqrt(w @ q_eps @ w)
 
     def grad_f(w):
         return -p

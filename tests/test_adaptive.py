@@ -76,6 +76,38 @@ class TestFixedStepUnchanged:
         assert trace_digest(res.trace) == digest
 
 
+class TestAdaptiveStepUnchanged:
+    # frozen from the adaptive loop before its trial reused one ||x+ - x||^2
+    # for the decrease test and the move; 2-d problems, so no BLAS kernel
+    # enters the digests
+    @pytest.mark.parametrize(
+        "problem,x0,iterations,digest,x_star",
+        [
+            (
+                build_sim1(SIM1_B),
+                [0.5, 0.5],
+                6,
+                "0a040b2986e067bc8879862b29bffcf50a45a201651a46b44b472849b568b25f",
+                ("0x1.5555555552dabp-1", "0x1.555555555a4a9p-2"),
+            ),
+            (
+                build_sim2(SIM2_BENCH),
+                [50.0, 50.0],
+                4,
+                "5dad771cec16fd8387210ac20c94b987671d6250e467957888ac1a4bd339b214",
+                ("-0x1.035c1b68cd400p-13", "0x1.6e7b68282b756p+6"),
+            ),
+        ],
+        ids=["sim1-B", "sim2-bench"],
+    )
+    def test_adaptive_iterates_bit_identical(self, problem, x0, iterations, digest, x_star):
+        res = pga_solve(problem, x0, PgaConfig(adaptive=True, record_trace=True))
+        assert res.status is Status.CONVERGED
+        assert res.iterations == iterations
+        assert tuple(float(v).hex() for v in res.x_star) == x_star
+        assert trace_digest(res.trace) == digest
+
+
 class TestAdaptiveMode:
     def test_srm_pga_defaults_to_adaptive(self):
         rng = np.random.default_rng(3)

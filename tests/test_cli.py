@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import fracopt.backtest
 from fracopt.backtest import compute_sharpe
 from fracopt.cli import main
+from fracopt.core import PgaConfig
+from fracopt.sharpe import srm_pga
 
 
 def run_cli(capsys, *argv):
@@ -215,6 +218,29 @@ class TestBacktestCommand:
             "backtest", "--data", data, "--window", "10", "--out", str(tmp_path),
         )
         assert code == 4
+
+    def test_nonconverged_periods_exit_3(self, capsys, tmp_path, monkeypatch):
+        def truncated(model):
+            return srm_pga(model, PgaConfig(adaptive=True, max_iter=1))
+
+        monkeypatch.setattr(fracopt.backtest, "srm_pga", truncated)
+        values = np.random.default_rng(151).normal(0.005, 0.04, size=(30, 6))
+        rows = "\n".join(",".join(repr(float(v)) for v in row) for row in values)
+        data = write_csv(tmp_path, "A,B,C,D,E,F\n" + rows + "\n")
+        code, out, err = run_cli(
+            capsys,
+            "backtest", "--data", data, "--strategy", "srm-pga",
+            "--window", "20", "--out", str(tmp_path),
+        )
+        # periods 21..30 are re-optimized; one iteration cannot converge from equal weights
+        assert code == 3
+        periods = ", ".join(str(t) for t in range(21, 31))
+        assert f"warning: periods {periods} did not converge" in err.splitlines()
+        payload = json.loads((tmp_path / "backtest_report.json").read_text())
+        assert payload["strategy"] == "srm-pga"
+        assert payload["periods"] == 30
+        assert (tmp_path / "backtest_periods.csv").read_text().startswith("period")
+        assert "report:" in out
 
     def test_deterministic_outputs(self, capsys, tmp_path):
         data = write_csv(tmp_path, SYNTHETIC_CSV)

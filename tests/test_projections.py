@@ -2,8 +2,62 @@ import numpy as np
 import pytest
 
 from conftest import simplex_qp_oracle
-from fracopt.errors import DimensionError, InvalidParameter
+from fracopt.errors import DimensionError, InvalidParameter, NumericalBreakdown
 from fracopt.projections import band_projector, project_simplex
+
+
+def reference_project_simplex(x):
+    """The sort-based projection as first written: copy, validate, np.sort,
+    np.cumsum, last support index from np.nonzero. Kept as the bit-identity
+    reference for :func:`project_simplex`."""
+    x = np.array(x, dtype=float)
+    if x.ndim != 1:
+        raise DimensionError(f"expected a 1-d vector, got ndim={x.ndim}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameter("vector entries must be finite (no NaN/Inf)")
+    n = x.shape[0]
+    if n == 0:
+        raise DimensionError("cannot project an empty vector")
+    u = np.sort(x, kind="stable")[::-1]
+    css = np.cumsum(u)
+    j = np.arange(1, n + 1)
+    positive = u - (css - 1.0) / j > 0
+    jp = int(np.nonzero(positive)[0][-1]) + 1
+    theta = (css[jp - 1] - 1.0) / jp
+    return np.maximum(x - theta, 0.0)
+
+
+def bit_identity_inputs(count, seed=41):
+    """Seeded vectors of length 1-400: spreads, ties, signed zeros,
+    magnitudes 1e-8 to 1e8, and points already on the simplex."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(1, 401))
+        kind = i % 6
+        if kind == 0:
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-8.0, 8.0)
+        elif kind == 1:
+            # per-entry magnitudes over sixteen decades, both signs
+            x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+        elif kind == 2:
+            # ties: few distinct values
+            x = rng.integers(-3, 4, n) * 10.0 ** rng.uniform(-8.0, 8.0)
+        elif kind == 3:
+            # signed zeros mixed with small entries
+            x = rng.choice([0.0, -0.0, 1e-8, -1e-8, 0.5], n)
+        elif kind == 4:
+            # already on the simplex: a vertex, an interior or sparse point,
+            # or a projected point with exact zeros
+            if i % 3 == 0:
+                x = np.eye(n)[int(rng.integers(n))]
+            elif i % 3 == 1:
+                x = rng.dirichlet(np.full(n, 10.0 ** rng.uniform(-2.0, 1.0)))
+            else:
+                x = reference_project_simplex(rng.normal(size=n))
+        else:
+            # near the simplex: perturbations of the barycenter
+            x = rng.uniform(-1.0, 1.0, n) / n + 1.0 / n
+        yield x
 
 
 class TestSimplex:
@@ -52,6 +106,57 @@ class TestSimplex:
         # all entries equal: projection is the barycenter regardless of sort order
         for n in (2, 3, 7):
             assert np.allclose(project_simplex(np.full(n, 4.2)), np.full(n, 1.0 / n))
+
+
+class TestBitIdentity:
+    def test_matches_reference_bit_for_bit(self):
+        for x in bit_identity_inputs(2400):
+            expected = reference_project_simplex(x)
+            got = project_simplex(x)
+            assert np.array_equal(got, expected)
+            # also tells -0.0 from 0.0
+            assert got.tobytes() == expected.tobytes()
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "x",
+        [[0.1, np.nan], [np.inf, 0.2], [-np.inf, 0.3], [np.inf, -np.inf], [np.nan]],
+        ids=["nan", "+inf", "-inf", "inf-minus-inf", "lone-nan"],
+    )
+    def test_non_finite_rejected(self, x):
+        # inf - inf in the running sum may warn before the check raises
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidParameter):
+            project_simplex(x)
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(DimensionError):
+            project_simplex(np.ones((2, 2)))
+
+    def test_scalar_rejected(self):
+        with pytest.raises(DimensionError):
+            project_simplex(3.0)
+
+    def test_list_and_int_input_give_float64(self):
+        for x in ([0.2, 0.8], [1, 2, 3], np.array([3, -1], dtype=np.int64)):
+            y = project_simplex(x)
+            assert y.dtype == np.float64
+            assert y.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_input_not_mutated_and_not_shared(self):
+        rng = np.random.default_rng(47)
+        for x in (rng.normal(size=9), np.array([0.2, 0.3, 0.5]), np.array([1.0])):
+            before = x.copy()
+            y = project_simplex(x)
+            assert x.tobytes() == before.tobytes()
+            assert not np.shares_memory(x, y)
+
+    def test_finite_entries_too_large_to_resolve(self):
+        # u[0] - (u[0] - 1) rounds to 0 at 1e16, and the total overflows at
+        # 1e308: no support size passes the test, so the projection refuses
+        for x in ([1e16, 0.0], [1e308, 1e308]):
+            with np.errstate(over="ignore"), pytest.raises(NumericalBreakdown):
+                project_simplex(x)
 
 
 class TestBand:
