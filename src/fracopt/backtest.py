@@ -13,6 +13,7 @@ import csv
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,6 +50,8 @@ class BacktestConfig:
 
     def __post_init__(self):
         self.strategy = Strategy(self.strategy)
+        if not isinstance(self.window, numbers.Integral):
+            raise InvalidParameter(f"window must be an integer, got {self.window!r}")
         if self.window < 2:
             raise InvalidParameter(f"window must be >= 2, got {self.window}")
         if not self.eps_hat > 0:

@@ -38,7 +38,9 @@ EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_DATA = 4
 
-_DATA_ERRORS = (ParseError, InsufficientData, DegenerateSeries, DegenerateModel, WealthWipeout)
+_DATA_ERRORS = (
+    FileNotFoundError, ParseError, InsufficientData, DegenerateSeries, DegenerateModel, WealthWipeout
+)
 
 
 def _parse_floats(text, count, name):
@@ -51,10 +53,10 @@ def _parse_floats(text, count, name):
         raise InvalidParameter(f"{name}: could not parse {text!r}") from None
 
 
-def _write_trace_csv(path, trace, columns):
+def _write_trace_csv(path, trace):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["k"] + columns + ["objective"])
+        writer.writerow(["k", "x1", "x2", "objective"])
         for k, (x, c) in enumerate(zip(trace.iterates, trace.ratios)):
             writer.writerow([k] + [repr(float(v)) for v in x] + [repr(float(c))])
 
@@ -67,56 +69,52 @@ def _vec(x):
     return "(" + ", ".join(_fmt(v) for v in x) + ")"
 
 
-def cmd_sim1(args):
-    params = Sim1Params(_parse_floats(args.p, 2, "--p"))
+def _exit_code(converged, message="solver did not converge within the iteration budget"):
+    if converged:
+        return EXIT_OK
+    print(message, file=sys.stderr)
+    return EXIT_SOLVER
+
+
+def _solve_paper_problem(args, name, problem, report=None):
+    """Solve a 2-d paper problem from the shared sim options, print it, return the exit code.
+
+    ``report(x)``, when given, prints the problem's own lines about the terminal point x.
+    """
     x0 = _parse_floats(args.x0, 2, "--x0")
-    problem = build_sim1(params)
     cfg = PgaConfig(
         alpha=args.alpha_frac * problem.step_bound,
         tol=args.tol,
         max_iter=args.max_iter,
-        record_trace=True,
+        record_trace=args.trace,
     )
     result = pga_solve(problem, x0, cfg)
     print(f"terminal point: {_vec(result.x_star)}")
     print(f"objective:      {_fmt(result.ratio)}")
     print(f"iterations:     {result.iterations}")
+    if report is not None:
+        report(result.x_star)
     if args.trace:
-        path = os.path.join(args.out, "sim1_trace.csv")
-        _write_trace_csv(path, result.trace, ["x1", "x2"])
+        path = os.path.join(args.out, f"{name}_trace.csv")
+        _write_trace_csv(path, result.trace)
         print(f"trace written:  {path}")
-    if result.status is not Status.CONVERGED:
-        print("solver did not converge within the iteration budget", file=sys.stderr)
-        return EXIT_SOLVER
-    return EXIT_OK
+    return _exit_code(result.status is Status.CONVERGED)
+
+
+def cmd_sim1(args):
+    problem = build_sim1(Sim1Params(_parse_floats(args.p, 2, "--p")))
+    return _solve_paper_problem(args, "sim1", problem)
 
 
 def cmd_sim2(args):
-    a = _parse_floats(args.a, 6, "--a")
-    params = Sim2Params(args.a0, *a)
-    x0 = _parse_floats(args.x0, 2, "--x0")
-    problem = build_sim2(params)
-    cfg = PgaConfig(
-        alpha=args.alpha_frac * problem.step_bound,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        record_trace=True,
-    )
-    result = pga_solve(problem, x0, cfg)
-    verdict = sim2_is_global(params, result.x_star, 1e-4)
-    print(f"terminal point: {_vec(result.x_star)}")
-    print(f"objective:      {_fmt(result.ratio)}")
-    print(f"iterations:     {result.iterations}")
-    print(f"|x1|:           {abs(result.x_star[0]):.6e}")
-    print(f"global optimum: {'yes' if verdict else 'no'} (tol 1e-4)")
-    if args.trace:
-        path = os.path.join(args.out, "sim2_trace.csv")
-        _write_trace_csv(path, result.trace, ["x1", "x2"])
-        print(f"trace written:  {path}")
-    if result.status is not Status.CONVERGED:
-        print("solver did not converge within the iteration budget", file=sys.stderr)
-        return EXIT_SOLVER
-    return EXIT_OK
+    params = Sim2Params(args.a0, *_parse_floats(args.a, 6, "--a"))
+
+    def report(x):
+        verdict = sim2_is_global(params, x, 1e-4)
+        print(f"|x1|:           {abs(x[0]):.6e}")
+        print(f"global optimum: {'yes' if verdict else 'no'} (tol 1e-4)")
+
+    return _solve_paper_problem(args, "sim2", build_sim2(params), report)
 
 
 def cmd_sharpe(args):
@@ -141,10 +139,7 @@ def cmd_sharpe(args):
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     print(f"result written:     {path}")
-    if res.result.status is not Status.CONVERGED:
-        print("solver did not converge within the iteration budget", file=sys.stderr)
-        return EXIT_SOLVER
-    return EXIT_OK
+    return _exit_code(res.result.status is Status.CONVERGED)
 
 
 def cmd_backtest(args):
@@ -165,11 +160,10 @@ def cmd_backtest(args):
     print(f"final wealth: {_fmt(report.final_wealth)}")
     print(f"report:       {json_path}")
     print(f"periods csv:  {csv_path}")
-    if report.nonconverged_periods:
-        periods = ", ".join(str(t) for t in report.nonconverged_periods)
-        print(f"warning: periods {periods} did not converge", file=sys.stderr)
-        return EXIT_SOLVER
-    return EXIT_OK
+    periods = ", ".join(str(t) for t in report.nonconverged_periods)
+    return _exit_code(
+        not report.nonconverged_periods, f"warning: periods {periods} did not converge"
+    )
 
 
 def build_parser():
@@ -181,44 +175,32 @@ def build_parser():
 
     p1 = sub.add_parser("sim1", help="ratio of a linear form to the norm on the 2-simplex")
     p1.add_argument("--p", required=True, help="direction vector, e.g. '2,-1'")
-    p1.add_argument("--x0", default="0.5,0.5", help="starting point (default 0.5,0.5)")
-    p1.add_argument("--alpha-frac", type=float, default=0.99, help="fraction of the step bound")
-    p1.add_argument("--tol", type=float, default=1e-5, help="relative-change stopping tolerance")
-    p1.add_argument("--max-iter", type=int, default=100_000)
-    p1.add_argument("--trace", action="store_true", help="write the iterate trace CSV")
-    p1.add_argument("--out", default=".", help="output directory")
     p1.set_defaults(func=cmd_sim1)
-
     p2 = sub.add_parser("sim2", help="diagonal quadratic ratio on an unbounded band")
     p2.add_argument("--a0", type=float, required=True, help="band half-width")
     p2.add_argument("--a", required=True, help="six coefficients 'a1,a2,a3,a4,a5,a6'")
-    p2.add_argument("--x0", default="50,50", help="starting point (default 50,50)")
-    p2.add_argument("--alpha-frac", type=float, default=0.99)
-    # tighter default than sim1: the flat optimal segment needs it for the
-    # first coordinate to reach 4-decimal zero before the step test fires
-    p2.add_argument("--tol", type=float, default=1e-7)
-    p2.add_argument("--max-iter", type=int, default=100_000)
-    p2.add_argument("--trace", action="store_true")
-    p2.add_argument("--out", default=".")
     p2.set_defaults(func=cmd_sim2)
+    # sim2's tol is tighter than sim1's: the flat optimal segment needs it for
+    # the first coordinate to reach 4-decimal zero before the step test fires
+    for p, x0, tol in ((p1, "0.5,0.5", 1e-5), (p2, "50,50", 1e-7)):
+        p.add_argument("--x0", default=x0, help=f"starting point (default {x0})")
+        p.add_argument("--alpha-frac", type=float, default=0.99, help="fraction of the step bound")
+        p.add_argument("--tol", type=float, default=tol, help="relative-change stopping tolerance")
+        p.add_argument("--max-iter", type=int, default=100_000)
+        p.add_argument("--trace", action="store_true", help="write the iterate trace CSV")
+        p.add_argument("--out", default=".", help="output directory")
 
     ps = sub.add_parser("sharpe", help="optimize portfolio weights from a returns CSV")
-    ps.add_argument("--data", required=True, help="returns CSV path")
-    ps.add_argument("--unit", choices=[u.value for u in bt.ReturnsUnit], default="decimal")
-    ps.add_argument("--eps", type=float, default=1e-4, help="variance regularizer")
-    ps.add_argument("--out", default=".")
     ps.set_defaults(func=cmd_sharpe)
-
     pb = sub.add_parser("backtest", help="moving-window backtest of a strategy")
-    pb.add_argument("--data", required=True)
-    pb.add_argument("--unit", choices=[u.value for u in bt.ReturnsUnit], default="decimal")
-    pb.add_argument(
-        "--strategy", choices=[s.value for s in bt.Strategy], default="srm-pga"
-    )
-    pb.add_argument("--window", type=int, default=20)
-    pb.add_argument("--eps", type=float, default=1e-4)
-    pb.add_argument("--out", default=".")
     pb.set_defaults(func=cmd_backtest)
+    for p in (ps, pb):
+        p.add_argument("--data", required=True, help="returns CSV path")
+        p.add_argument("--unit", choices=[u.value for u in bt.ReturnsUnit], default="decimal")
+        p.add_argument("--eps", type=float, default=1e-4, help="variance regularizer")
+        p.add_argument("--out", default=".", help="output directory")
+    pb.add_argument("--strategy", choices=[s.value for s in bt.Strategy], default="srm-pga")
+    pb.add_argument("--window", type=int, default=20)
 
     return parser
 
@@ -251,12 +233,9 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except (InvalidParameter,) as exc:
+    except InvalidParameter as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

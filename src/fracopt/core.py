@@ -29,6 +29,7 @@ identical iterate sequence but reports nonnegative shifted ratio values.
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -135,6 +136,8 @@ class PgaConfig:
             raise InvalidParameter(f"alpha must be positive, got {self.alpha}")
         if not self.tol > 0:
             raise InvalidParameter(f"tol must be positive, got {self.tol}")
+        if not isinstance(self.max_iter, numbers.Integral):
+            raise InvalidParameter(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise InvalidParameter(f"max_iter must be >= 1, got {self.max_iter}")
 

@@ -7,13 +7,15 @@ stays nonnegative and every subproblem stays convex. Used as an independent
 cross-check of the proximal gradient path.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SolveResult, SolveTrace, Status, default_alpha, fixed_point_residual
+from .core import (
+    SolveResult, SolveTrace, Status, _check_start, default_alpha, fixed_point_residual
+)
 from .errors import InnerSolverFailure, InvalidParameter, InvalidStart
-from .linalg import as_vector
 
 
 @dataclass
@@ -27,6 +29,9 @@ class DinkelbachConfig:
     record_trace: bool = False
 
     def __post_init__(self):
+        for name in ("max_outer", "max_inner"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise InvalidParameter(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("outer_tol", "max_outer", "inner_tol", "max_inner"):
             if not getattr(self, name) > 0:
                 raise InvalidParameter(f"{name} must be positive")
@@ -65,7 +70,7 @@ def dinkelbach_solve(problem, x0, cfg=None):
         raise InvalidParameter(
             "dinkelbach_solve needs lip_grad_f and lip_grad_g on the problem"
         )
-    x = problem.projection(as_vector(x0))
+    x = _check_start(problem, x0)
     f0 = problem.eval_f(x)
     if f0 > 0:
         raise InvalidStart(

@@ -29,6 +29,7 @@ import numpy as np
 from .core import FractionalProblem, PgaConfig, SolveResult, pga_solve
 from .errors import DegenerateModel, DimensionError, InsufficientData, InvalidParameter
 from .linalg import dominant_eigenvalue
+from .projections import project_simplex
 
 _EIG_TOL = 1e-8
 
@@ -146,8 +147,6 @@ def sharpe_problem(model):
 
     def grad_g(w):
         return q_eps @ w / eval_g(w)
-
-    from .projections import project_simplex
 
     return FractionalProblem(
         eval_f=eval_f,

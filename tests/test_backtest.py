@@ -270,6 +270,13 @@ class TestRunBacktest:
         with pytest.raises(ValueError):
             BacktestConfig(strategy="momentum")
 
+    def test_window_must_be_integral(self):
+        with pytest.raises(InvalidParameter):
+            BacktestConfig(window=5.5)
+        values = np.random.default_rng(151).normal(0.005, 0.04, size=(8, 3))
+        cfg = BacktestConfig(window=np.int64(5), strategy="one-over-n")
+        assert run_backtest(returns_matrix(values), cfg).realized_returns.size == 8
+
 
 class TestExport:
     def test_json_keys_and_roundtrip(self, tmp_path):

@@ -24,6 +24,15 @@ def write_csv(tmp_path, text, name="returns.csv"):
 
 SYNTHETIC_CSV = "UP,FLAT\n" + "0.01,0.0\n" * 6
 
+SIM_ARGV = {
+    "sim1": ["sim1", "--p", "2,-1"],
+    "sim2": ["sim2", "--a0", "100", "--a", "4,2,3,3,2,3"],
+}
+SIM_RESULT_LINES = {
+    "sim1": ["terminal point", "objective", "iterations"],
+    "sim2": ["terminal point", "objective", "iterations", "|x1|", "global optimum"],
+}
+
 
 class TestSim1Command:
     def test_vertex_case(self, capsys):
@@ -92,6 +101,45 @@ class TestSim2Command:
     def test_condition_violation_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "sim2", "--a0", "100", "--a", "1,2,3,3,1,3")
         assert code == 2
+
+    def test_output_lines_in_order(self, capsys):
+        code, out, err = run_cli(capsys, *SIM_ARGV["sim2"])
+        assert code == 0
+        assert err == ""
+        assert [line.split(":")[0] for line in out.splitlines()] == SIM_RESULT_LINES["sim2"]
+
+    def test_trace_csv(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, *SIM_ARGV["sim2"], "--trace", "--out", str(tmp_path))
+        assert code == 0
+        path = tmp_path / "sim2_trace.csv"
+        assert out.splitlines()[-1] == f"trace written:  {path}"
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "k,x1,x2,objective"
+        assert [float(v) for v in lines[1].split(",")[1:3]] == [50.0, 50.0]
+        iterations = int(out.split("iterations:")[1].split()[0])
+        assert len(lines) == iterations + 2
+
+
+@pytest.mark.parametrize("command", ["sim1", "sim2"])
+class TestSimCommands:
+    def test_no_trace_file_without_flag(self, capsys, tmp_path, command):
+        code, out, _ = run_cli(capsys, *SIM_ARGV[command], "--out", str(tmp_path))
+        assert code == 0
+        assert "trace written:" not in out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_iteration_budget_exits_3(self, capsys, command):
+        code, out, err = run_cli(capsys, *SIM_ARGV[command], "--max-iter", "3")
+        assert code == 3
+        assert [line.split(":")[0] for line in out.splitlines()] == SIM_RESULT_LINES[command]
+        assert "iterations:     3" in out
+        assert err == "solver did not converge within the iteration budget\n"
+
+    def test_step_above_bound_exits_2(self, capsys, command):
+        code, out, err = run_cli(capsys, *SIM_ARGV[command], "--alpha-frac", "1.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: alpha = ")
 
 
 class TestSharpeCommand:

@@ -220,6 +220,12 @@ class TestErrorPaths:
         with pytest.raises(InvalidParameter):
             pga_solve(build_sim1(SIM1_A), [0.5, 0.25, 0.25])
 
+    def test_max_iter_must_be_integral(self):
+        with pytest.raises(InvalidParameter):
+            PgaConfig(max_iter=10.5)
+        cfg = PgaConfig(tol=1e-30, max_iter=np.int64(3))
+        assert pga_solve(build_sim1(SIM1_B), [0.5, 0.5], cfg).iterations == 3
+
     def test_max_iter_reached_status(self):
         res = pga_solve(build_sim1(SIM1_B), [0.5, 0.5], PgaConfig(tol=1e-30, max_iter=10))
         assert res.status is Status.MAX_ITER_REACHED

@@ -81,6 +81,15 @@ class TestParametricSolver:
         with pytest.raises(InvalidParameter):
             DinkelbachConfig(max_inner=0)
 
+    def test_count_fields_must_be_integral(self):
+        with pytest.raises(InvalidParameter):
+            DinkelbachConfig(max_outer=10.5)
+        assert DinkelbachConfig(max_outer=np.int64(5)).max_outer == 5
+
+    def test_wrong_start_dimension(self):
+        with pytest.raises(InvalidParameter):
+            dinkelbach_solve(build_sim1(SIM1_A), [0.2, 0.3, 0.5])
+
     def test_agrees_with_proximal_gradient(self):
         problem = build_sim1(SIM1_B)
         prox = pga_solve(problem, [0.5, 0.5], PgaConfig(tol=1e-9))
