@@ -38,8 +38,10 @@ EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_DATA = 4
 
+# OSError covers a missing or unreadable --data, a directory given as --data,
+# and an --out that is a file, missing or unwritable
 _DATA_ERRORS = (
-    FileNotFoundError, ParseError, InsufficientData, DegenerateSeries, DegenerateModel, WealthWipeout
+    OSError, ParseError, InsufficientData, DegenerateSeries, DegenerateModel, WealthWipeout
 )
 
 

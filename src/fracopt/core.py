@@ -22,6 +22,16 @@ Csetnek's proximal-gradient methods for fractional programs) and stops on
 the step-normalised gradient mapping of the ratio, which, unlike the
 relative iterate change, does not shrink with the step size.
 
+A problem may also supply an exact face finish (``FractionalProblem.finish``).
+The adaptive rule tries it once the zero pattern of the iterate has not
+changed for a few accepted iterations, the active-set identification that
+proximal gradient reaches in finitely many steps (Nutini, Schmidt & Hare),
+finished by an exact solve on the identified face as in Bertsekas's
+projected Newton methods. A returned point is taken only when its ratio is
+at most the current one, so the descent stays monotone, and the solve then
+stops converged; otherwise the iteration continues from the unchanged
+iterate, and the next attempt waits for twice as many settled iterations.
+
 An equivalent "shifted" sweep that subtracts a known lower bound M of the
 ratio from the numerator is provided for cross-checking: it produces the
 identical iterate sequence but reports nonnegative shifted ratio values.
@@ -51,6 +61,11 @@ _FIRST_STEP = 1.0
 _SIGMA = 1e-4
 _GROWTH = 2.0
 _MAX_STEP = 1e30
+# Exact face finish: accepted iterations with an unchanged zero pattern before
+# the first attempt; after every rejected attempt the count restarts and the
+# number required grows by this factor.
+_FINISH_LAG = 3
+_FINISH_LAG_GROWTH = 2
 
 
 class Status(enum.Enum):
@@ -67,6 +82,10 @@ class FractionalProblem:
     numerator's gradient). ``lip_grad_f`` / ``lip_grad_g`` are the gradient
     Lipschitz constants of f and g on the set; the parametric reference
     solver needs them to pick its inner step size.
+
+    ``finish``, when given, maps a feasible point x to an exact minimiser of
+    the ratio on the face of x (the points with the zeros of x), or to None
+    when it has none to offer; the adaptive step rule uses it.
     """
 
     eval_f: Callable[[np.ndarray], float]
@@ -78,6 +97,7 @@ class FractionalProblem:
     dimension: int
     lip_grad_f: Optional[float] = None
     lip_grad_g: Optional[float] = None
+    finish: Optional[Callable[[np.ndarray], Optional[np.ndarray]]] = None
 
     def __post_init__(self):
         if not self.step_bound > 0:
@@ -123,6 +143,12 @@ class PgaConfig:
     trial step is a = 1, each later one the Barzilai-Borwein step
     ||s||^2 / s.y (s = x+ - x, y = d+ - d), doubled instead when s.y <= 0.
     Stop when the gradient mapping of the ratio ||x+ - x|| / (a*g(x)) <= tol.
+    When the problem has a ``finish``, it is called after an accepted
+    iteration once the zero pattern of x has been unchanged for 3 accepted
+    iterations; after each rejected attempt the count restarts and the
+    number required doubles (6, 12, ...). Its point is taken
+    only if its ratio is at most c(x); the solve then stops converged, and
+    the trace ends with that point. The fixed step never calls it.
     """
 
     alpha: Optional[float] = None
@@ -147,7 +173,9 @@ class SolveTrace:
     """Per-iteration history: iterates x[k], ratio values, and step norms.
 
     ``iterates[i]`` and ``ratios[i]`` are aligned; ``steps[i]`` is the norm
-    of the move from iterates[i] to iterates[i+1] (one entry fewer).
+    of the move from iterates[i] to iterates[i+1] (one entry fewer). An
+    accepted exact finish is one more move, so that trace holds one entry
+    more than the iteration count implies.
     """
 
     iterates: list = field(default_factory=list)
@@ -246,6 +274,13 @@ def _run_pga(problem, x0, cfg, shift=None):
     projection = problem.projection
     grad_g = problem.grad_g
 
+    finish = problem.finish if adaptive else None
+    # zero pattern of x, and the accepted iterations it has held since it
+    # last changed or since the last finish attempt
+    zeros = None
+    settled = 0
+    lag = _FINISH_LAG
+
     status = Status.MAX_ITER_REACHED
     iterations = cfg.max_iter
     c, gx = ratio_fn(x)
@@ -294,6 +329,28 @@ def _run_pga(problem, x0, cfg, shift=None):
             status = Status.CONVERGED
             iterations = k
             break
+        if finish is None:
+            continue
+        zeros_next = (x == 0.0).tobytes()
+        settled = settled + 1 if zeros_next == zeros else 0
+        zeros = zeros_next
+        if settled < lag:
+            continue
+        x_fin = finish(x)
+        if x_fin is not None:
+            c_fin, _ = ratio_fn(x_fin)
+            if c_fin <= c:
+                if trace is not None:
+                    trace.iterates.append(x)
+                    trace.ratios.append(c)
+                    diff = x_fin - x
+                    trace.steps.append(math.sqrt(float(diff @ diff)))
+                x, c = x_fin, c_fin
+                status = Status.CONVERGED
+                iterations = k
+                break
+        lag *= _FINISH_LAG_GROWTH
+        settled = 0
     if trace is not None:
         trace.iterates.append(x)
         trace.ratios.append(c)

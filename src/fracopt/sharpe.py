@@ -18,6 +18,14 @@ step-normalised gradient mapping; see :class:`fracopt.core.PgaConfig`).
 Passing ``PgaConfig()`` selects the paper's fixed-step iteration. An
 adaptive solve that ends without a global certificate is run again from the
 vertex of the largest positive mean, where it is certified.
+
+The problem built by :func:`sharpe_problem` carries an exact face finish,
+which the adaptive iteration tries once the support of the weights has
+settled. On the support S it solves Q_SS z = p_S, the tangency portfolio of
+that face, and offers w = z/sum(z) when p.w > 0 at the current weights,
+z > 0, and every off-support multiplier of the QP form
+min y.Q.y s.t. p.y = 1, y >= 0 is nonnegative; those are the KKT conditions
+of the long-only optimum, so the offered point is the maximiser.
 """
 
 import math
@@ -148,6 +156,24 @@ def sharpe_problem(model):
     def grad_g(w):
         return q_eps @ w / eval_g(w)
 
+    def finish(w):
+        # the tangency portfolio of the face: z solves Q_SS z = p_S, and the
+        # face optimum z/sum(z) is the global one when z > 0 and every
+        # off-support multiplier of the QP form, a positive multiple of
+        # (Q z - p) there, is nonnegative
+        if not p @ w > 0.0:
+            return None
+        idx = np.flatnonzero(w)
+        z = np.linalg.solve(q_eps[idx][:, idx], p[idx])
+        if not np.all(z > 0.0):
+            return None
+        off = w == 0.0
+        if not np.all(q_eps[off][:, idx] @ z >= p[off]):
+            return None
+        w_fin = np.zeros_like(w)
+        w_fin[idx] = z / z.sum()
+        return w_fin
+
     return FractionalProblem(
         eval_f=eval_f,
         eval_g=eval_g,
@@ -158,6 +184,7 @@ def sharpe_problem(model):
         dimension=model.n_assets,
         lip_grad_f=0.0,
         lip_grad_g=model.lip_grad_g,
+        finish=finish,
     )
 
 
@@ -191,6 +218,12 @@ def srm_pga(model, cfg=None):
     asset with the largest mean. The ratio is negative there and the descent
     is monotone, so that solve ends with p.w > 0, certified; its result
     replaces the first one.
+
+    In adaptive mode the solve usually ends on the exact face finish of
+    :func:`sharpe_problem`: once the support of the weights has held for a
+    few accepted iterations, the face optimum is computed in closed form and
+    taken when its KKT conditions hold and its Sharpe ratio is no lower. The
+    status is then CONVERGED and the weights are exact to rounding.
     """
     n = model.n_assets
     cfg = cfg or PgaConfig(adaptive=True)

@@ -5,6 +5,7 @@ adaptive mode must keep the paper's monotone descent and feasibility, and
 stop only where the step-normalised gradient mapping is small.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -212,6 +213,82 @@ class TestAdaptiveMode:
         )
         with pytest.raises(NumericalBreakdown):
             pga_solve(problem, [0.5, 0.5], PgaConfig(adaptive=True))
+
+
+class TestExactFinish:
+    @staticmethod
+    def model():
+        values = np.random.default_rng(3).normal(0.005, 0.04, (60, 30))
+        return build_sharpe_model(returns_matrix(values))
+
+    @staticmethod
+    def solve(problem, finish):
+        n = problem.dimension
+        cfg = PgaConfig(adaptive=True, record_trace=True)
+        return pga_solve(dataclasses.replace(problem, finish=finish), np.full(n, 1.0 / n), cfg)
+
+    @staticmethod
+    def worst_vertex(problem):
+        vertices = np.eye(problem.dimension)
+        return max(vertices, key=problem.ratio)
+
+    def test_rejected_finish_leaves_the_trace_bit_identical(self):
+        problem = sharpe_problem(self.model())
+        base = self.solve(problem, None)
+        worst = self.worst_vertex(problem)
+        calls = []
+
+        def declines(x):
+            calls.append(x)
+            return None
+
+        def rises(x):
+            calls.append(x)
+            assert problem.ratio(worst) > problem.ratio(x)
+            return worst
+
+        for finish in (declines, rises):
+            calls.clear()
+            res = self.solve(problem, finish)
+            assert len(calls) >= 2  # the lag doubled at least once
+            assert res.iterations == base.iterations
+            assert res.status is base.status
+            assert trace_digest(res.trace) == trace_digest(base.trace)
+            assert res.trace.steps == base.trace.steps
+            assert np.array_equal(res.x_star, base.x_star)
+
+    def test_accepted_finish_stops_converged_on_an_aligned_monotone_trace(self):
+        model = self.model()
+        problem = sharpe_problem(model)
+        base = self.solve(problem, None)
+        res = self.solve(problem, problem.finish)
+        assert res.status is Status.CONVERGED
+        assert res.iterations < base.iterations
+        trace = res.trace
+        # the finished point is one move past the last iteration
+        assert len(trace.iterates) == res.iterations + 2
+        assert len(trace.ratios) == len(trace.iterates)
+        assert len(trace.steps) == len(trace.iterates) - 1
+        for i, step in enumerate(trace.steps):
+            assert step == np.linalg.norm(trace.iterates[i + 1] - trace.iterates[i])
+        assert np.array_equal(trace.iterates[-1], res.x_star)
+        assert trace.ratios[-1] == res.ratio
+        assert np.all(np.diff(trace.ratios) <= 0.0)
+        # the finish solves the face exactly: it beats the plain solve's ratio
+        assert res.ratio <= base.ratio
+
+    def test_fixed_step_never_calls_the_finish(self):
+        problem = sharpe_problem(self.model())
+
+        def refuses(x):
+            raise AssertionError("the fixed step called the finish")
+
+        res = pga_solve(
+            dataclasses.replace(problem, finish=refuses),
+            np.full(problem.dimension, 1.0 / problem.dimension),
+            PgaConfig(max_iter=200),
+        )
+        assert res.iterations == 200
 
 
 @settings(max_examples=40, deadline=None)

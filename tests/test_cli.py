@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -307,6 +308,55 @@ class TestBacktestCommand:
                 + (out_dir / "backtest_periods.csv").read_bytes()
             )
         assert blobs[0] == blobs[1]
+
+
+FILE_ARGV = {
+    "sim1": ["sim1", "--p", "-2,-1", "--trace"],
+    "sharpe": ["sharpe"],
+    "backtest": ["backtest", "--window", "3"],
+}
+
+
+class TestFileErrors:
+    """Operating-system errors on --data and --out are data errors: exit 4, no traceback."""
+
+    def argv(self, tmp_path, command):
+        argv = list(FILE_ARGV[command])
+        if command != "sim1":
+            argv += ["--data", write_csv(tmp_path, SYNTHETIC_CSV)]
+        return argv
+
+    @pytest.mark.parametrize("command", list(FILE_ARGV))
+    def test_out_naming_a_file_exits_4(self, capsys, tmp_path, command):
+        not_a_dir = tmp_path / "plain.txt"
+        not_a_dir.write_text("")
+        code, _, err = run_cli(capsys, *self.argv(tmp_path, command), "--out", str(not_a_dir))
+        assert code == 4
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["sharpe", "backtest"])
+    def test_data_naming_a_directory_exits_4(self, capsys, tmp_path, command):
+        argv = FILE_ARGV[command] + ["--data", str(tmp_path)]
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert code == 4
+        assert err.startswith("error: ")
+
+    @pytest.mark.skipif(
+        not hasattr(os, "geteuid") or os.geteuid() == 0,
+        reason="file permissions do not bind the superuser",
+    )
+    @pytest.mark.parametrize("command", list(FILE_ARGV))
+    def test_unwritable_out_exits_4(self, capsys, tmp_path, command):
+        argv = self.argv(tmp_path, command)
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        locked.chmod(0o500)
+        try:
+            code, _, err = run_cli(capsys, *argv, "--out", str(locked))
+        finally:
+            locked.chmod(0o700)
+        assert code == 4
+        assert err.startswith("error: ")
 
 
 class TestUsage:

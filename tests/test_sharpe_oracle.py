@@ -11,12 +11,21 @@ SLSQP found, and is accepted only when the KKT residual of the result is at
 most 1e-9.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
 
-from fracopt.sharpe import build_sharpe_model, returns_matrix, sharpe_objective, srm_pga  # noqa: E402
+from fracopt.core import PgaConfig, pga_solve  # noqa: E402
+from fracopt.sharpe import (  # noqa: E402
+    build_sharpe_model,
+    returns_matrix,
+    sharpe_objective,
+    sharpe_problem,
+    srm_pga,
+)
 
 KKT_TOL = 1e-9
 GAP_TOL = 1e-9
@@ -94,6 +103,18 @@ def test_srm_pga_matches_the_qp_optimum(n, seed):
     assert res.global_certificate
     gap = (best - res.sharpe) / abs(best)
     assert abs(gap) <= GAP_TOL, f"relative Sharpe gap {gap:.3g} at N={n}"
+
+
+@pytest.mark.parametrize("n", [8, 30, 60, 100])
+@pytest.mark.parametrize("seed", [17, 29])
+def test_exact_finish_ends_at_a_kkt_point_in_fewer_iterations(n, seed):
+    model = build_sharpe_model(returns_matrix(factor_panel(n, seed)))
+    res = srm_pga(model)
+    y = res.weights / float(model.p @ res.weights)
+    assert kkt_residual(model.q_eps, model.p, y) <= 1e-12
+    without = dataclasses.replace(sharpe_problem(model), finish=None)
+    plain = pga_solve(without, np.full(n, 1.0 / n), PgaConfig(adaptive=True))
+    assert res.result.iterations < plain.iterations
 
 
 def test_reference_rejects_a_non_optimal_point():
