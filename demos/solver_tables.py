@@ -14,14 +14,16 @@ from fracopt import (
     Sim2Params,
     build_sim1,
     build_sim2,
+    default_alpha,
     dinkelbach_solve,
+    fixed_point_residual,
     pga_solve,
     sim1_analytic_solution,
     sim2_is_global,
 )
 
 
-def show_trace(title, result, rows):
+def show_trace(title, problem, result, rows):
     print(f"\n{title}")
     print("  k     x1        x2        f/g")
     iterates = result.trace.iterates
@@ -30,8 +32,8 @@ def show_trace(title, result, rows):
         if k < len(iterates):
             x = iterates[k]
             print(f"  {k:<4d}  {x[0]:8.4f}  {x[1]:8.4f}  {ratios[k]:9.4f}")
-    print(f"  converged in {result.iterations} iterations, "
-          f"residual {result.fixed_point_residual:.2e}")
+    residual = fixed_point_residual(problem, result.x_star, default_alpha(problem))
+    print(f"  converged in {result.iterations} iterations, residual {residual:.2e}")
 
 
 def main():
@@ -42,7 +44,7 @@ def main():
         params = Sim1Params(np.array(p))
         problem = build_sim1(params)
         result = pga_solve(problem, [0.5, 0.5], PgaConfig(record_trace=True))
-        show_trace(f"direction {label}: p = {p}", result, [0, 1, 2, 3, 4, 5, 10, 20, 27])
+        show_trace(f"direction {label}: p = {p}", problem, result, [0, 1, 2, 3, 4, 5, 10, 20, 27])
         target = sim1_analytic_solution(params)
         print(f"  closed-form optimum: ({target[0]:.4f}, {target[1]:.4f})")
 
@@ -54,7 +56,7 @@ def main():
     problem = build_sim2(params)
     for x0 in ([50.0, 50.0], [50.0, -50.0], [95.0, 95.0], [95.0, -95.0]):
         result = pga_solve(problem, x0, PgaConfig(tol=1e-7, record_trace=True))
-        show_trace(f"start {x0}", result, [0, 1, 5, 10, 25, 52, 55])
+        show_trace(f"start {x0}", problem, result, [0, 1, 5, 10, 25, 52, 55])
         verdict = sim2_is_global(params, result.x_star, 1e-4)
         print(f"  on the optimal segment: {verdict}")
 

@@ -102,8 +102,8 @@ class FractionalProblem:
     def __post_init__(self):
         if not self.step_bound > 0:
             raise InvalidParameter(f"step_bound must be positive, got {self.step_bound}")
-        if self.dimension < 1:
-            raise InvalidParameter(f"dimension must be >= 1, got {self.dimension}")
+        if not isinstance(self.dimension, numbers.Integral) or self.dimension < 1:
+            raise InvalidParameter(f"dimension must be an integer >= 1, got {self.dimension!r}")
 
     def ratio(self, x):
         """f(x)/g(x) with positivity and NaN checks."""
@@ -170,17 +170,14 @@ class PgaConfig:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration history: iterates x[k], ratio values, and step norms.
+    """Per-iteration history: aligned iterates x[k] and ratio values.
 
-    ``iterates[i]`` and ``ratios[i]`` are aligned; ``steps[i]`` is the norm
-    of the move from iterates[i] to iterates[i+1] (one entry fewer). An
-    accepted exact finish is one more move, so that trace holds one entry
-    more than the iteration count implies.
+    An accepted exact finish is one more point, so that trace holds one
+    entry more than the iteration count implies.
     """
 
     iterates: list = field(default_factory=list)
     ratios: list = field(default_factory=list)
-    steps: list = field(default_factory=list)
 
 
 @dataclass
@@ -189,7 +186,6 @@ class SolveResult:
     ratio: float
     iterations: int
     status: Status
-    fixed_point_residual: float
     trace: Optional[SolveTrace] = None
 
 
@@ -257,12 +253,7 @@ def _shifted_oracle(problem, shift):
 
 
 def _run_pga(problem, x0, cfg, shift=None):
-    """The solver loop of both step rules; ``shift`` selects the shifted form.
-
-    Returns a SolveResult whose residual is measured at alpha, the
-    admissible fixed step: the step of every iteration in fixed mode, the
-    floor of the step search in adaptive mode.
-    """
+    """The solver loop of both step rules; ``shift`` selects the shifted form."""
     alpha = _resolve_alpha(problem, cfg)
     x = _check_start(problem, x0)
     trace = SolveTrace() if cfg.record_trace else None
@@ -317,7 +308,6 @@ def _run_pga(problem, x0, cfg, shift=None):
         if trace is not None:
             trace.iterates.append(x)
             trace.ratios.append(c)
-            trace.steps.append(move)
         if adaptive:
             # gradient mapping of the ratio, whose own step is step*g(x)
             measure = move / (step * gx)
@@ -343,8 +333,6 @@ def _run_pga(problem, x0, cfg, shift=None):
                 if trace is not None:
                     trace.iterates.append(x)
                     trace.ratios.append(c)
-                    diff = x_fin - x
-                    trace.steps.append(math.sqrt(float(diff @ diff)))
                 x, c = x_fin, c_fin
                 status = Status.CONVERGED
                 iterations = k
@@ -354,8 +342,7 @@ def _run_pga(problem, x0, cfg, shift=None):
     if trace is not None:
         trace.iterates.append(x)
         trace.ratios.append(c)
-    residual = fixed_point_residual(problem, x, alpha)
-    return SolveResult(x, c, iterations, status, residual, trace)
+    return SolveResult(x, c, iterations, status, trace)
 
 
 def pga_solve(problem, x0, cfg=None):
@@ -373,9 +360,9 @@ def pga_solve(problem, x0, cfg=None):
     Returns
     -------
     SolveResult with the terminal iterate, the ratio value there, the
-    iteration count, status, and the fixed-point residual at the terminal
-    point, measured at the fixed step alpha in both modes.
-    ``result.trace`` is populated when cfg.record_trace is set.
+    iteration count and status. ``result.trace`` is populated when
+    cfg.record_trace is set. The fixed-point residual of the answer is
+    ``fixed_point_residual(problem, result.x_star, default_alpha(problem))``.
     """
     return _run_pga(problem, x0, cfg or PgaConfig())
 

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    SolveResult, SolveTrace, Status, _check_start, default_alpha, fixed_point_residual
-)
+from .core import SolveResult, SolveTrace, Status, _check_start
 from .errors import InnerSolverFailure, InvalidParameter, InvalidStart
 
 
@@ -88,10 +86,7 @@ def dinkelbach_solve(problem, x0, cfg=None):
         denom = problem.lip_grad_f + c * problem.lip_grad_g
         # a linear subproblem (both constants zero) admits any step
         step = 0.99 / denom if denom > 0 else 1.0
-        x_next = _projected_gradient(problem, c, x, step, cfg.inner_tol, cfg.max_inner)
-        if trace is not None:
-            trace.steps.append(float(np.linalg.norm(x_next - x)))
-        x = x_next
+        x = _projected_gradient(problem, c, x, step, cfg.inner_tol, cfg.max_inner)
         value = -problem.eval_f(x) - c * problem.eval_g(x)
         if trace is not None:
             trace.iterates.append(x)
@@ -102,5 +97,4 @@ def dinkelbach_solve(problem, x0, cfg=None):
             break
         c = -problem.ratio(x)
 
-    residual = fixed_point_residual(problem, x, default_alpha(problem))
-    return SolveResult(x, problem.ratio(x), iterations, status, residual, trace)
+    return SolveResult(x, problem.ratio(x), iterations, status, trace)

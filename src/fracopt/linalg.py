@@ -5,6 +5,8 @@ matrices are validated on entry (finite, of the expected rank) and the
 routines never mutate their inputs.
 """
 
+import numbers
+
 import numpy as np
 
 from .errors import DimensionError, InvalidMatrix, InvalidParameter, NoConvergence
@@ -42,15 +44,18 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=10_000):
     most ``tol`` relative between sweeps.
 
     Raises InvalidMatrix for non-square or asymmetric input (beyond 1e-10
-    relative asymmetry) and NoConvergence if ``max_iter`` sweeps do not
+    relative asymmetry), InvalidParameter unless ``tol`` > 0 and ``max_iter``
+    is an integer >= 1, and NoConvergence if ``max_iter`` sweeps do not
     settle the Rayleigh quotient.
     """
     a = as_matrix(m)
     n, ncols = a.shape
     if n != ncols:
         raise InvalidMatrix(f"matrix is {n}x{ncols}, not square")
-    if tol <= 0:
-        raise InvalidParameter("tol must be positive")
+    if not tol > 0:
+        raise InvalidParameter(f"tol must be positive, got {tol}")
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise InvalidParameter(f"max_iter must be an integer >= 1, got {max_iter!r}")
     scale = float(np.max(np.abs(a)))
     if scale == 0.0:
         return 0.0  # zero matrix: valid PSD edge case
@@ -61,7 +66,7 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=10_000):
     v /= np.linalg.norm(v)
     lam = float(v @ a @ v)
     restarts = 0
-    for _ in range(int(max_iter)):
+    for _ in range(max_iter):
         w = a @ v
         wn = np.linalg.norm(w)
         if wn == 0.0:

@@ -61,7 +61,7 @@ def band_projector(a0):
     The returned closure skips per-call validation (the half-width is checked
     here, once); solvers call it every iteration.
     """
-    if a0 <= 0:
+    if not a0 > 0:
         raise InvalidParameter(f"band half-width must be positive, got {a0}")
     a0 = float(a0)
 

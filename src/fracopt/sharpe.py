@@ -74,10 +74,6 @@ class ReturnsMatrix:
                 )
 
     @property
-    def n_periods(self):
-        return self.values.shape[0]
-
-    @property
     def n_assets(self):
         return self.values.shape[1]
 

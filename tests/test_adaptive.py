@@ -135,12 +135,6 @@ class TestAdaptiveMode:
             assert np.all(np.diff(res.trace.ratios) <= 1e-12)
             assert all(abs(x[1]) <= 100.0 for x in res.trace.iterates)
 
-    def test_residual_measured_at_the_admissible_step(self):
-        problem = build_sim2(SIM2_BENCH)
-        res = pga_solve(problem, [50.0, 50.0], PgaConfig(adaptive=True))
-        expected = fixed_point_residual(problem, res.x_star, default_alpha(problem))
-        assert res.fixed_point_residual == expected
-
     def test_stops_on_gradient_mapping_not_relative_change(self):
         # the fixed step is ~1e-4 here, so the relative-change rule fires early
         rng = np.random.default_rng(5)
@@ -254,7 +248,6 @@ class TestExactFinish:
             assert res.iterations == base.iterations
             assert res.status is base.status
             assert trace_digest(res.trace) == trace_digest(base.trace)
-            assert res.trace.steps == base.trace.steps
             assert np.array_equal(res.x_star, base.x_star)
 
     def test_accepted_finish_stops_converged_on_an_aligned_monotone_trace(self):
@@ -268,9 +261,6 @@ class TestExactFinish:
         # the finished point is one move past the last iteration
         assert len(trace.iterates) == res.iterations + 2
         assert len(trace.ratios) == len(trace.iterates)
-        assert len(trace.steps) == len(trace.iterates) - 1
-        for i, step in enumerate(trace.steps):
-            assert step == np.linalg.norm(trace.iterates[i + 1] - trace.iterates[i])
         assert np.array_equal(trace.iterates[-1], res.x_star)
         assert trace.ratios[-1] == res.ratio
         assert np.all(np.diff(trace.ratios) <= 0.0)

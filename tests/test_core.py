@@ -97,7 +97,7 @@ class TestPgaTrajectories:
         cfg = PgaConfig(tol=1e-6, record_trace=True)
         res = pga_solve(build_sim1(SIM1_B), [0.5, 0.5], cfg)
         assert res.status is Status.CONVERGED
-        last_step = res.trace.steps[-1]
+        last_step = np.linalg.norm(res.trace.iterates[-1] - res.trace.iterates[-2])
         prev_norm = np.linalg.norm(res.trace.iterates[-2])
         assert last_step <= cfg.tol * prev_norm
 
@@ -178,8 +178,9 @@ class TestFixedPointResidual:
             fixed_point_residual(build_sim1(SIM1_A), [0.5, 0.5], 0.0)
 
     def test_reported_on_result(self):
-        res = pga_solve(build_sim1(SIM1_B), [0.5, 0.5], PgaConfig(tol=1e-8))
-        assert res.fixed_point_residual <= 1e-6
+        problem = build_sim1(SIM1_B)
+        res = pga_solve(problem, [0.5, 0.5], PgaConfig(tol=1e-8))
+        assert fixed_point_residual(problem, res.x_star, default_alpha(problem)) <= 1e-6
 
 
 class TestErrorPaths:
@@ -215,6 +216,12 @@ class TestErrorPaths:
             PgaConfig(max_iter=0)
         with pytest.raises(InvalidParameter):
             PgaConfig(alpha=-1.0)
+
+    def test_dimension_must_be_a_positive_integer(self):
+        for dim in (2.5, float("nan"), 2.0, 0):
+            with pytest.raises(InvalidParameter):
+                identity_problem(None, None, None, None, dim=dim)
+        assert identity_problem(None, None, None, None, dim=np.int64(2)).dimension == 2
 
     def test_wrong_start_dimension(self):
         with pytest.raises(InvalidParameter):

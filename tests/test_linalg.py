@@ -51,6 +51,12 @@ class TestDominantEigenvalue:
     def test_bad_tol(self):
         with pytest.raises(InvalidParameter):
             dominant_eigenvalue(np.eye(2), tol=0.0)
+        with pytest.raises(InvalidParameter):
+            dominant_eigenvalue(np.eye(2), tol=float("nan"))
+        for max_iter in (0, 2.5, -1):
+            with pytest.raises(InvalidParameter):
+                dominant_eigenvalue(np.eye(2), max_iter=max_iter)
+        assert dominant_eigenvalue(np.eye(2), max_iter=np.int64(5)) == pytest.approx(1.0)
 
     def test_matches_full_decomposition_oracle(self):
         rng = np.random.default_rng(7)

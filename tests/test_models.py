@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import central_diff_grad, random_simplex_point
-from fracopt.core import PgaConfig, pga_solve
+from fracopt.core import PgaConfig, default_alpha, fixed_point_residual, pga_solve
 from fracopt.errors import InvalidParameter, NumericalBreakdown
 from fracopt.models import (
     Sim1Params,
@@ -105,7 +105,7 @@ class TestSim1:
         problem = build_sim1(params)
         res = pga_solve(problem, [0.1, 0.9], PgaConfig(tol=1e-9))
         assert np.allclose(res.x_star, [0.0, 1.0], atol=1e-6)  # local, not global
-        assert res.fixed_point_residual <= 1e-8
+        assert fixed_point_residual(problem, res.x_star, default_alpha(problem)) <= 1e-8
         assert np.allclose(sim1_analytic_solution(params), [1.0, 0.0])
         # from the other basin the same problem reaches the global vertex
         res2 = pga_solve(problem, [0.9, 0.1], PgaConfig(tol=1e-9))

@@ -174,6 +174,8 @@ class TestBand:
             band_projector(0.0)
         with pytest.raises(InvalidParameter):
             band_projector(-1.0)
+        with pytest.raises(InvalidParameter):
+            band_projector(float("nan"))
 
 
 @pytest.mark.parametrize(

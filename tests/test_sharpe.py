@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import central_diff_grad, random_simplex_point
-from fracopt.core import PgaConfig
+from fracopt.core import PgaConfig, default_alpha, fixed_point_residual
 from fracopt.errors import (
     DegenerateModel,
     DimensionError,
@@ -133,7 +133,9 @@ class TestSrmPga:
         for c in (0.02, -0.02):
             model = build_sharpe_model(constant_returns([c, c, c], 4), 1e-4)
             res = srm_pga(model)
-            assert res.result.fixed_point_residual <= 1e-5
+            problem = sharpe_problem(model)
+            residual = fixed_point_residual(problem, res.weights, default_alpha(problem))
+            assert residual <= 1e-5
             assert res.global_certificate == (c >= 0)
 
     def test_single_asset(self):
