@@ -54,8 +54,8 @@ class BacktestConfig:
             raise InvalidParameter(f"window must be an integer, got {self.window!r}")
         if self.window < 2:
             raise InvalidParameter(f"window must be >= 2, got {self.window}")
-        if not self.eps_hat > 0:
-            raise InvalidParameter(f"eps_hat must be positive, got {self.eps_hat}")
+        if not 0 < self.eps_hat < math.inf:
+            raise InvalidParameter(f"eps_hat must be positive and finite, got {self.eps_hat}")
 
 
 @dataclass

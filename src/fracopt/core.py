@@ -23,14 +23,15 @@ the step-normalised gradient mapping of the ratio, which, unlike the
 relative iterate change, does not shrink with the step size.
 
 A problem may also supply an exact face finish (``FractionalProblem.finish``).
-The adaptive rule tries it once the zero pattern of the iterate has not
-changed for a few accepted iterations, the active-set identification that
-proximal gradient reaches in finitely many steps (Nutini, Schmidt & Hare),
-finished by an exact solve on the identified face as in Bertsekas's
-projected Newton methods. A returned point is taken only when its ratio is
-at most the current one, so the descent stays monotone, and the solve then
-stops converged; otherwise the iteration continues from the unchanged
-iterate, and the next attempt waits for twice as many settled iterations.
+The adaptive rule tries it once for each face the iterate settles on, when
+the zero pattern of the iterate has not changed for a few accepted
+iterations: the active-set identification that proximal gradient reaches in
+finitely many steps (Nutini, Schmidt & Hare), finished by an exact solve on
+the identified face as in Bertsekas's projected Newton methods. A returned
+point is taken only when its ratio is at most the current one, so the
+descent stays monotone, and the solve then stops converged; otherwise the
+iteration continues from the unchanged iterate, and the finish is not
+tried again until the zero pattern changes and settles again.
 
 An equivalent "shifted" sweep that subtracts a known lower bound M of the
 ratio from the numerator is provided for cross-checking: it produces the
@@ -62,10 +63,8 @@ _SIGMA = 1e-4
 _GROWTH = 2.0
 _MAX_STEP = 1e30
 # Exact face finish: accepted iterations with an unchanged zero pattern before
-# the first attempt; after every rejected attempt the count restarts and the
-# number required grows by this factor.
+# the one attempt on that face.
 _FINISH_LAG = 3
-_FINISH_LAG_GROWTH = 2
 
 
 class Status(enum.Enum):
@@ -85,7 +84,8 @@ class FractionalProblem:
 
     ``finish``, when given, maps a feasible point x to an exact minimiser of
     the ratio on the face of x (the points with the zeros of x), or to None
-    when it has none to offer; the adaptive step rule uses it.
+    when it has none to offer. Its answer depends only on the face of x, so
+    the adaptive step rule asks it once per face.
     """
 
     eval_f: Callable[[np.ndarray], float]
@@ -111,6 +111,11 @@ class FractionalProblem:
 
     def ratio_and_g(self, x):
         """(f(x)/g(x), g(x)) with the checks of :meth:`ratio`."""
+        fx, gx = self._f_and_g(x)
+        return fx / gx, gx
+
+    def _f_and_g(self, x):
+        """(f(x), g(x)), each evaluated once, with the checks of :meth:`ratio`."""
         gx = float(self.eval_g(x))
         if math.isnan(gx):
             raise NumericalBreakdown("g(x) evaluated to NaN")
@@ -119,7 +124,7 @@ class FractionalProblem:
         fx = float(self.eval_f(x))
         if math.isnan(fx):
             raise NumericalBreakdown("f(x) evaluated to NaN")
-        return fx / gx, gx
+        return fx, gx
 
 
 @dataclass
@@ -145,10 +150,10 @@ class PgaConfig:
     Stop when the gradient mapping of the ratio ||x+ - x|| / (a*g(x)) <= tol.
     When the problem has a ``finish``, it is called after an accepted
     iteration once the zero pattern of x has been unchanged for 3 accepted
-    iterations; after each rejected attempt the count restarts and the
-    number required doubles (6, 12, ...). Its point is taken
-    only if its ratio is at most c(x); the solve then stops converged, and
-    the trace ends with that point. The fixed step never calls it.
+    iterations, and not again until the pattern changes and settles again.
+    Its point is taken only if its ratio is at most c(x); the solve then
+    stops converged, and the trace ends with that point. The fixed step
+    never calls it.
     """
 
     alpha: Optional[float] = None
@@ -160,8 +165,8 @@ class PgaConfig:
     def __post_init__(self):
         if self.alpha is not None and not self.alpha > 0:
             raise InvalidParameter(f"alpha must be positive, got {self.alpha}")
-        if not self.tol > 0:
-            raise InvalidParameter(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise InvalidParameter(f"tol must be positive and finite, got {self.tol}")
         if not isinstance(self.max_iter, numbers.Integral):
             raise InvalidParameter(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
@@ -202,7 +207,7 @@ def fixed_point_residual(problem, x, alpha):
     """
     if not alpha > 0:
         raise InvalidParameter(f"alpha must be positive, got {alpha}")
-    x = as_vector(x)
+    x = _as_point(x, problem.dimension, "x")
     c = problem.ratio(x)
     y = problem.projection(x - alpha * problem.grad_f(x) + alpha * c * problem.grad_g(x))
     return float(np.linalg.norm(x - y))
@@ -217,14 +222,17 @@ def _resolve_alpha(problem, cfg):
     return alpha
 
 
+def _as_point(x, dimension, name):
+    """x as a finite 1-d float vector of the given length."""
+    x = as_vector(x)
+    if x.shape[0] != dimension:
+        raise InvalidParameter(f"{name} has length {x.shape[0]}, problem dimension is {dimension}")
+    return x
+
+
 def _check_start(problem, x0):
-    x0 = as_vector(x0)
-    if x0.shape[0] != problem.dimension:
-        raise InvalidParameter(
-            f"x0 has length {x0.shape[0]}, problem dimension is {problem.dimension}"
-        )
     # infeasible starts are totalized by one projection
-    return problem.projection(x0)
+    return problem.projection(_as_point(x0, problem.dimension, "x0"))
 
 
 def _project_update(projection, step_dir, k):
@@ -267,10 +275,9 @@ def _run_pga(problem, x0, cfg, shift=None):
 
     finish = problem.finish if adaptive else None
     # zero pattern of x, and the accepted iterations it has held since it
-    # last changed or since the last finish attempt
+    # last changed
     zeros = None
     settled = 0
-    lag = _FINISH_LAG
 
     status = Status.MAX_ITER_REACHED
     iterations = cfg.max_iter
@@ -324,7 +331,7 @@ def _run_pga(problem, x0, cfg, shift=None):
         zeros_next = (x == 0.0).tobytes()
         settled = settled + 1 if zeros_next == zeros else 0
         zeros = zeros_next
-        if settled < lag:
+        if settled != _FINISH_LAG:
             continue
         x_fin = finish(x)
         if x_fin is not None:
@@ -337,8 +344,6 @@ def _run_pga(problem, x0, cfg, shift=None):
                 status = Status.CONVERGED
                 iterations = k
                 break
-        lag *= _FINISH_LAG_GROWTH
-        settled = 0
     if trace is not None:
         trace.iterates.append(x)
         trace.ratios.append(c)

@@ -7,6 +7,7 @@ stays nonnegative and every subproblem stays convex. Used as an independent
 cross-check of the proximal gradient path.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -31,8 +32,9 @@ class DinkelbachConfig:
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise InvalidParameter(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("outer_tol", "max_outer", "inner_tol", "max_inner"):
-            if not getattr(self, name) > 0:
-                raise InvalidParameter(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InvalidParameter(f"{name} must be positive and finite, got {value!r}")
 
 
 def _projected_gradient(problem, c, x, step, tol, max_iter):
@@ -69,16 +71,18 @@ def dinkelbach_solve(problem, x0, cfg=None):
             "dinkelbach_solve needs lip_grad_f and lip_grad_g on the problem"
         )
     x = _check_start(problem, x0)
-    f0 = problem.eval_f(x)
-    if f0 > 0:
+    # f and g are evaluated once per visited point, with the checks of ratio
+    fx, gx = problem._f_and_g(x)
+    if fx > 0:
         raise InvalidStart(
-            f"f(x0) = {f0} > 0; the parametric scheme needs a start with f(x0) <= 0"
+            f"f(x0) = {fx} > 0; the parametric scheme needs a start with f(x0) <= 0"
         )
-    c = -problem.ratio(x)  # c0 >= 0 by the start condition
+    ratio = fx / gx
+    c = -ratio  # c0 >= 0 by the start condition
     trace = SolveTrace() if cfg.record_trace else None
     if trace is not None:
         trace.iterates.append(x)
-        trace.ratios.append(-c)
+        trace.ratios.append(ratio)
 
     status = Status.MAX_ITER_REACHED
     iterations = cfg.max_outer
@@ -87,14 +91,16 @@ def dinkelbach_solve(problem, x0, cfg=None):
         # a linear subproblem (both constants zero) admits any step
         step = 0.99 / denom if denom > 0 else 1.0
         x = _projected_gradient(problem, c, x, step, cfg.inner_tol, cfg.max_inner)
-        value = -problem.eval_f(x) - c * problem.eval_g(x)
+        fx, gx = problem._f_and_g(x)
+        value = -fx - c * gx
+        ratio = fx / gx
         if trace is not None:
             trace.iterates.append(x)
-            trace.ratios.append(problem.ratio(x))
+            trace.ratios.append(ratio)
         if abs(value) <= cfg.outer_tol:
             status = Status.CONVERGED
             iterations = k
             break
-        c = -problem.ratio(x)
+        c = -ratio
 
-    return SolveResult(x, problem.ratio(x), iterations, status, trace)
+    return SolveResult(x, ratio, iterations, status, trace)

@@ -20,12 +20,13 @@ adaptive solve that ends without a global certificate is run again from the
 vertex of the largest positive mean, where it is certified.
 
 The problem built by :func:`sharpe_problem` carries an exact face finish,
-which the adaptive iteration tries once the support of the weights has
-settled. On the support S it solves Q_SS z = p_S, the tangency portfolio of
-that face, and offers w = z/sum(z) when p.w > 0 at the current weights,
-z > 0, and every off-support multiplier of the QP form
-min y.Q.y s.t. p.y = 1, y >= 0 is nonnegative; those are the KKT conditions
-of the long-only optimum, so the offered point is the maximiser.
+which the adaptive iteration tries once for each support of the weights that
+settles. On the support S it solves Q_SS z = p_S, the tangency portfolio of
+that face, and offers w = z/sum(z) when z > 0 and every off-support
+multiplier of the QP form min y.Q.y s.t. p.y = 1, y >= 0 is nonnegative;
+those are the KKT conditions of the long-only optimum (z > 0 gives
+p.z = z.Q_SS.z > 0), so the offered point is the maximiser. The answer
+depends on the support alone, not on where the weights sit on it.
 """
 
 import math
@@ -34,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FractionalProblem, PgaConfig, SolveResult, pga_solve
+from .core import FractionalProblem, PgaConfig, SolveResult, _as_point, pga_solve
 from .errors import DegenerateModel, DimensionError, InsufficientData, InvalidParameter
 from .linalg import dominant_eigenvalue
 from .projections import project_simplex
@@ -114,8 +115,8 @@ def build_sharpe_model(r, eps_hat=1e-4):
     DegenerateModel when every asset has zero mean return (the step bound
     is undefined there).
     """
-    if not eps_hat > 0:
-        raise InvalidParameter(f"eps_hat must be positive, got {eps_hat}")
+    if not 0 < eps_hat < math.inf:
+        raise InvalidParameter(f"eps_hat must be positive and finite, got {eps_hat}")
     values = r.values
     t, n = values.shape
     p = values.mean(axis=0)
@@ -130,9 +131,12 @@ def build_sharpe_model(r, eps_hat=1e-4):
 
 
 def sharpe_objective(model, w):
-    """S(w) = p.w / sqrt(w.Q_eps.w); scale-invariant in w."""
-    w = np.asarray(w, dtype=float)
-    return float(model.p @ w) / float(np.sqrt(w @ model.q_eps @ w))
+    """S(w) = p.w / sqrt(w.Q_eps.w); scale-invariant in w, undefined at w = 0."""
+    w = _as_point(w, model.n_assets, "w")
+    variance = float(w @ model.q_eps @ w)
+    if not variance > 0.0:
+        raise InvalidParameter("the Sharpe ratio is undefined at w = 0")
+    return float(model.p @ w) / math.sqrt(variance)
 
 
 def sharpe_problem(model):
@@ -157,8 +161,6 @@ def sharpe_problem(model):
         # face optimum z/sum(z) is the global one when z > 0 and every
         # off-support multiplier of the QP form, a positive multiple of
         # (Q z - p) there, is nonnegative
-        if not p @ w > 0.0:
-            return None
         idx = np.flatnonzero(w)
         z = np.linalg.solve(q_eps[idx][:, idx], p[idx])
         if not np.all(z > 0.0):
@@ -216,10 +218,11 @@ def srm_pga(model, cfg=None):
     replaces the first one.
 
     In adaptive mode the solve usually ends on the exact face finish of
-    :func:`sharpe_problem`: once the support of the weights has held for a
-    few accepted iterations, the face optimum is computed in closed form and
-    taken when its KKT conditions hold and its Sharpe ratio is no lower. The
-    status is then CONVERGED and the weights are exact to rounding.
+    :func:`sharpe_problem`: once the support of the weights has held for 3
+    accepted iterations, the face optimum is computed in closed form, once
+    per support, and taken when its KKT conditions hold and its Sharpe ratio
+    is no lower. The status is then CONVERGED and the weights are exact to
+    rounding.
     """
     n = model.n_assets
     cfg = cfg or PgaConfig(adaptive=True)

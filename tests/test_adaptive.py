@@ -209,10 +209,21 @@ class TestAdaptiveMode:
             pga_solve(problem, [0.5, 0.5], PgaConfig(adaptive=True))
 
 
+def settled_faces(iterates):
+    """Stretches of the iterates whose zero pattern holds for 3 accepted iterations."""
+    count, zeros, held = 0, None, 0
+    for x in iterates:
+        pattern = (x == 0.0).tobytes()
+        held = held + 1 if pattern == zeros else 0
+        zeros = pattern
+        count += held == 3
+    return count
+
+
 class TestExactFinish:
     @staticmethod
-    def model():
-        values = np.random.default_rng(3).normal(0.005, 0.04, (60, 30))
+    def model(seed=3, shape=(60, 30)):
+        values = np.random.default_rng(seed).normal(0.005, 0.04, shape)
         return build_sharpe_model(returns_matrix(values))
 
     @staticmethod
@@ -227,28 +238,31 @@ class TestExactFinish:
         return max(vertices, key=problem.ratio)
 
     def test_rejected_finish_leaves_the_trace_bit_identical(self):
-        problem = sharpe_problem(self.model())
-        base = self.solve(problem, None)
-        worst = self.worst_vertex(problem)
-        calls = []
+        for seed, shape, faces in ((3, (60, 30), 1), (7, (120, 60), 2)):
+            problem = sharpe_problem(self.model(seed, shape))
+            base = self.solve(problem, None)
+            # the finish is tried once on each face the iterates settle on
+            assert settled_faces(base.trace.iterates[1:]) == faces
+            worst = self.worst_vertex(problem)
+            calls = []
 
-        def declines(x):
-            calls.append(x)
-            return None
+            def declines(x):
+                calls.append(x)
+                return None
 
-        def rises(x):
-            calls.append(x)
-            assert problem.ratio(worst) > problem.ratio(x)
-            return worst
+            def rises(x):
+                calls.append(x)
+                assert problem.ratio(worst) > problem.ratio(x)
+                return worst
 
-        for finish in (declines, rises):
-            calls.clear()
-            res = self.solve(problem, finish)
-            assert len(calls) >= 2  # the lag doubled at least once
-            assert res.iterations == base.iterations
-            assert res.status is base.status
-            assert trace_digest(res.trace) == trace_digest(base.trace)
-            assert np.array_equal(res.x_star, base.x_star)
+            for finish in (declines, rises):
+                calls.clear()
+                res = self.solve(problem, finish)
+                assert len(calls) == faces
+                assert res.iterations == base.iterations
+                assert res.status is base.status
+                assert trace_digest(res.trace) == trace_digest(base.trace)
+                assert np.array_equal(res.x_star, base.x_star)
 
     def test_accepted_finish_stops_converged_on_an_aligned_monotone_trace(self):
         model = self.model()
@@ -266,6 +280,21 @@ class TestExactFinish:
         assert np.all(np.diff(trace.ratios) <= 0.0)
         # the finish solves the face exactly: it beats the plain solve's ratio
         assert res.ratio <= base.ratio
+
+    def test_sharpe_finish_depends_only_on_the_face(self):
+        # asset 1 of the optimal support {1, 2, 3} has a negative mean, so a
+        # point of that face can have p.w < 0; the face optimum is the same
+        values = np.random.default_rng(5).normal(0.002, 0.04, (60, 6))
+        model = build_sharpe_model(returns_matrix(values))
+        best = srm_pga(model)
+        support = np.flatnonzero(best.weights)
+        assert support.tolist() == [1, 2, 3]
+        w = np.zeros(6)
+        w[support] = [0.98, 0.01, 0.01]
+        assert model.p @ w < 0.0
+        w_fin = sharpe_problem(model).finish(w)
+        assert w_fin is not None
+        assert np.allclose(w_fin, best.weights, rtol=0.0, atol=1e-12)
 
     def test_fixed_step_never_calls_the_finish(self):
         problem = sharpe_problem(self.model())

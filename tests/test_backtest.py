@@ -270,6 +270,10 @@ class TestRunBacktest:
         with pytest.raises(ValueError):
             BacktestConfig(strategy="momentum")
 
+    def test_non_finite_eps_rejected(self):
+        with pytest.raises(InvalidParameter, match="eps_hat"):
+            BacktestConfig(eps_hat=float("inf"))
+
     def test_window_must_be_integral(self):
         with pytest.raises(InvalidParameter):
             BacktestConfig(window=5.5)

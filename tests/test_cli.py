@@ -136,6 +136,12 @@ class TestSimCommands:
         assert "iterations:     3" in out
         assert err == "solver did not converge within the iteration budget\n"
 
+    def test_non_finite_tol_exits_2(self, capsys, command):
+        code, out, err = run_cli(capsys, *SIM_ARGV[command], "--tol", "inf")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tol must be positive and finite")
+
     def test_step_above_bound_exits_2(self, capsys, command):
         code, out, err = run_cli(capsys, *SIM_ARGV[command], "--alpha-frac", "1.5")
         assert code == 2
@@ -360,6 +366,14 @@ class TestFileErrors:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command", ["sharpe", "backtest"])
+    def test_non_finite_eps_exits_2(self, capsys, tmp_path, command):
+        data = write_csv(tmp_path, SYNTHETIC_CSV)
+        argv = FILE_ARGV[command] + ["--data", data, "--out", str(tmp_path), "--eps", "inf"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: eps_hat must be positive and finite")
+
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
         capsys.readouterr()

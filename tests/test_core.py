@@ -177,6 +177,10 @@ class TestFixedPointResidual:
         with pytest.raises(InvalidParameter):
             fixed_point_residual(build_sim1(SIM1_A), [0.5, 0.5], 0.0)
 
+    def test_wrong_point_dimension(self):
+        with pytest.raises(InvalidParameter, match="x has length 3"):
+            fixed_point_residual(build_sim1(SIM1_A), [0.2, 0.3, 0.5], 0.1)
+
     def test_reported_on_result(self):
         problem = build_sim1(SIM1_B)
         res = pga_solve(problem, [0.5, 0.5], PgaConfig(tol=1e-8))
@@ -216,6 +220,11 @@ class TestErrorPaths:
             PgaConfig(max_iter=0)
         with pytest.raises(InvalidParameter):
             PgaConfig(alpha=-1.0)
+
+    def test_non_finite_tol_rejected(self):
+        # an infinite tol would stop every solve after its first iteration
+        with pytest.raises(InvalidParameter, match="tol"):
+            PgaConfig(tol=float("inf"))
 
     def test_dimension_must_be_a_positive_integer(self):
         for dim in (2.5, float("nan"), 2.0, 0):

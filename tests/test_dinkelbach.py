@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,31 @@ class TestParametricSolver:
             DinkelbachConfig(outer_tol=0.0)
         with pytest.raises(InvalidParameter):
             DinkelbachConfig(max_inner=0)
+
+    def test_non_finite_tolerances_rejected(self):
+        for name in ("outer_tol", "inner_tol"):
+            with pytest.raises(InvalidParameter, match=name):
+                DinkelbachConfig(**{name: float("inf")})
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_each_visited_point_evaluated_once(self, record_trace):
+        problem = build_sim1(SIM1_B)
+        calls = {"f": 0, "g": 0}
+
+        def counted(fn, key):
+            def wrapped(x):
+                calls[key] += 1
+                return fn(x)
+
+            return wrapped
+
+        counting = dataclasses.replace(
+            problem, eval_f=counted(problem.eval_f, "f"), eval_g=counted(problem.eval_g, "g")
+        )
+        res = dinkelbach_solve(counting, [1.0, 0.0], DinkelbachConfig(record_trace=record_trace))
+        assert res.iterations == 4
+        # the start and one point per outer step
+        assert calls == {"f": res.iterations + 1, "g": res.iterations + 1}
 
     def test_count_fields_must_be_integral(self):
         with pytest.raises(InvalidParameter):

@@ -87,6 +87,10 @@ class TestBuildModel:
         with pytest.raises(InvalidParameter):
             build_sharpe_model(constant_returns([0.1, 0.2], 3), 0.0)
 
+    def test_non_finite_eps_rejected(self):
+        with pytest.raises(InvalidParameter, match="eps_hat"):
+            build_sharpe_model(constant_returns([0.1, 0.2], 3), float("inf"))
+
 
 class TestObjective:
     def test_zero_gram_closed_form(self):
@@ -111,6 +115,16 @@ class TestObjective:
         base = sharpe_objective(model, w)
         for lam in (0.5, 2.0, 10.0):
             assert sharpe_objective(model, lam * w) == pytest.approx(base, rel=1e-12)
+
+    def test_zero_weights_rejected(self):
+        model = build_sharpe_model(constant_returns([0.1, 0.2], 4), 1e-4)
+        with pytest.raises(InvalidParameter, match="w = 0"):
+            sharpe_objective(model, [0.0, 0.0])
+
+    def test_wrong_weight_dimension(self):
+        model = build_sharpe_model(constant_returns([0.1, 0.2], 4), 1e-4)
+        with pytest.raises(InvalidParameter, match="w has length 3"):
+            sharpe_objective(model, [0.2, 0.3, 0.5])
 
 
 class TestSrmPga:
