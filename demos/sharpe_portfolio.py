@@ -3,8 +3,8 @@
 Builds a returns matrix with a few distinct risk/return profiles, runs the
 Sharpe optimizer, and shows the weights, the achieved objective, and the
 global-optimality certificate. Also demonstrates the uncertified case
-(every asset losing money) where the solver still returns a critical point
-but cannot certify it.
+(every asset losing money): the solver returns the best single asset, the
+global optimum there, but the sign test cannot certify it.
 """
 
 import numpy as np
@@ -39,7 +39,7 @@ def main():
     describe("Mixed profiles (certificate expected):", mixed)
 
     # all-negative means: no nonnegative-mean mixture exists, so the
-    # certificate must come back False
+    # certificate must come back False, though the one-asset answer is optimal
     losing = returns_matrix(
         rng.normal(-0.01, 0.03, size=(periods, 4)), ["L1", "L2", "L3", "L4"]
     )

@@ -151,8 +151,9 @@ def compute_sharpe(returns):
 def compute_wealth(returns):
     """Cumulative wealth path from 1; returns (final, path)."""
     r = np.asarray(returns, dtype=float)
-    if np.any(r <= -1.0):
-        raise WealthWipeout("a period return of -100% or worse wipes out all wealth")
+    wiped = np.flatnonzero(r <= -1.0)
+    if wiped.size:
+        raise WealthWipeout(f"period {wiped[0] + 1}: portfolio lost 100% or more")
     if r.size == 0:
         return 1.0, np.array([])
     path = np.cumprod(1.0 + r)
@@ -217,9 +218,6 @@ def run_backtest(r, cfg):
                 nonconverged.append(t + 1)
 
     realized = (weights * (1.0 + values)).sum(axis=1) - 1.0
-    if np.any(1.0 + realized <= 0.0):
-        t_bad = int(np.argmax(1.0 + realized <= 0.0)) + 1
-        raise WealthWipeout(f"period {t_bad}: portfolio lost 100% or more")
     final_wealth, path = compute_wealth(realized)
     sharpe = compute_sharpe(realized)
     return BacktestReport(

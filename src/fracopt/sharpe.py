@@ -15,9 +15,9 @@ small to reach the optimum in a practical number of iterations. ``srm_pga``
 therefore runs the adaptive-step iteration by default (Barzilai-Borwein trial
 steps, backtracking on the ratio down to the admissible step, stopped on the
 step-normalised gradient mapping; see :class:`fracopt.core.PgaConfig`).
-Passing ``PgaConfig()`` selects the paper's fixed-step iteration. An
-adaptive solve that ends without a global certificate is run again from the
-vertex of the largest positive mean, where it is certified.
+Passing ``PgaConfig()`` selects the paper's fixed-step iteration. Both step
+rules start where one solve suffices: equal weights when the means sum to
+more than zero, else the vertex of the largest p_i/sqrt(Q_ii) (``srm_pga``).
 
 The problem built by :func:`sharpe_problem` carries an exact face finish,
 which the adaptive iteration tries once for each support of the weights that
@@ -154,7 +154,8 @@ def sharpe_problem(model):
         return -p
 
     def grad_g(w):
-        return q_eps @ w / eval_g(w)
+        qw = q_eps @ w
+        return qw / math.sqrt(w @ qw)
 
     def finish(w):
         # the tangency portfolio of the face: z solves Q_SS z = p_S, and the
@@ -190,9 +191,9 @@ def sharpe_problem(model):
 class SrmResult:
     """Optimized weights plus the achieved Sharpe value and optimality flag.
 
-    ``global_certificate`` is True when p.w* >= 0 at the terminal point,
-    the condition under which the computed critical point is a global
-    maximizer of the Sharpe objective.
+    ``global_certificate`` is the sign test p.w* >= 0, under which the
+    terminal point is a global maximizer. When every mean is below zero the
+    weights are still the maximizer (a vertex), yet the flag is False.
     """
 
     weights: np.ndarray
@@ -204,18 +205,18 @@ class SrmResult:
 def srm_pga(model, cfg=None):
     """Run the proximal gradient iteration on a Sharpe model.
 
-    Starts from equal weights. The default config is
-    ``PgaConfig(adaptive=True)``: Barzilai-Borwein trial steps with monotone
-    backtracking on the ratio, never below 0.99 of the admissible bound, until
-    the step-normalised gradient mapping is at most tol 1e-5, for at most 1e5
-    iterations. ``PgaConfig()`` gives the paper's fixed step at 0.99 of the
-    admissible bound with the relative-change stop.
+    The default config is ``PgaConfig(adaptive=True)``: Barzilai-Borwein
+    trial steps with monotone backtracking on the ratio, never below 0.99 of
+    the admissible bound, until the step-normalised gradient mapping is at
+    most tol 1e-5, for at most 1e5 iterations. ``PgaConfig()`` gives the
+    paper's fixed step at 0.99 of the admissible bound with the
+    relative-change stop.
 
-    In adaptive mode, when the solve ends without a global certificate while
-    some asset has a positive mean, it is run again from the vertex of the
-    asset with the largest mean. The ratio is negative there and the descent
-    is monotone, so that solve ends with p.w > 0, certified; its result
-    replaces the first one.
+    Either step rule solves once. When the means sum to more than zero it
+    starts from equal weights, where the Sharpe ratio is positive, and the
+    monotone descent ends certified with p.w > 0. Otherwise it starts from
+    the vertex of the largest p_i/sqrt(Q_ii): positive when some mean is,
+    else the maximizer of the then quasiconvex ratio, after one iteration.
 
     In adaptive mode the solve usually ends on the exact face finish of
     :func:`sharpe_problem`: once the support of the weights has held for 3
@@ -224,13 +225,11 @@ def srm_pga(model, cfg=None):
     is no lower. The status is then CONVERGED and the weights are exact to
     rounding.
     """
-    n = model.n_assets
-    cfg = cfg or PgaConfig(adaptive=True)
-    problem = sharpe_problem(model)
     p = model.p
-    result = pga_solve(problem, np.full(n, 1.0 / n), cfg)
-    if cfg.adaptive and p @ result.x_star < -1e-12 and p.max() > 0.0:
-        result = pga_solve(problem, np.eye(n)[np.argmax(p)], cfg)
+    if p.sum() > 0.0:
+        x0 = np.full(p.size, 1.0 / p.size)
+    else:
+        x0 = np.eye(p.size)[np.argmax(p / np.sqrt(np.diag(model.q_eps)))]
+    result = pga_solve(sharpe_problem(model), x0, cfg or PgaConfig(adaptive=True))
     w = result.x_star
-    certificate = bool(p @ w >= -1e-12)
-    return SrmResult(w, -result.ratio, certificate, result)
+    return SrmResult(w, -result.ratio, bool(p @ w >= -1e-12), result)

@@ -178,22 +178,50 @@ class TestAdaptiveMode:
         assert res.status is Status.CONVERGED
         assert res.iterations == 1
 
-    def test_uncertified_start_is_solved_again_from_the_best_vertex(self):
+    def test_negative_mean_sum_is_solved_once_from_the_best_vertex(self, monkeypatch):
         # one asset has a positive window mean, but the equal-weight mean is
-        # negative and the first adaptive solve stops at a local critical
-        # point with p.w < 0; the fixed step happens to reach the global one
+        # negative and an adaptive solve from there stops at a local critical
+        # point with p.w < 0; srm_pga starts from the vertex of the best
+        # p_i/sqrt(Q_ii) instead, where the Sharpe ratio is positive
         values = np.random.default_rng(23).normal(-0.01, 0.04, (23, 11))
         model = build_sharpe_model(returns_matrix(values))
         assert (model.p > 0).sum() == 1
         problem = sharpe_problem(model)
         first = pga_solve(problem, np.full(11, 1.0 / 11), PgaConfig(adaptive=True))
         assert model.p @ first.x_star < 0.0
-        res = srm_pga(model)
-        fixed = srm_pga(model, PgaConfig())
+        vertex = np.eye(11)[np.argmax(model.p / np.sqrt(np.diag(model.q_eps)))]
+        starts = []
+
+        def counted(problem, x0, cfg):
+            starts.append(x0)
+            return pga_solve(problem, x0, cfg)
+
+        monkeypatch.setattr("fracopt.sharpe.pga_solve", counted)
+        results = []
+        for cfg in (None, PgaConfig()):
+            starts.clear()
+            results.append(srm_pga(model, cfg))
+            assert len(starts) == 1
+            assert np.array_equal(starts[0], vertex)
+        res, fixed = results
         assert res.result.status is Status.CONVERGED
         assert res.global_certificate
+        assert fixed.global_certificate
         assert res.sharpe > 0.0
         assert res.sharpe >= fixed.sharpe - 1e-9
+
+    @pytest.mark.parametrize("cfg", [PgaConfig(), PgaConfig(adaptive=True)])
+    def test_positive_mean_sum_is_solved_from_equal_weights(self, cfg):
+        # asset means of both signs that sum to more than zero
+        values = np.random.default_rng(41).normal(0.002, 0.04, (40, 9))
+        model = build_sharpe_model(returns_matrix(values))
+        assert model.p.sum() > 0.0 and model.p.min() < 0.0
+        res = srm_pga(model, cfg)
+        plain = pga_solve(sharpe_problem(model), np.full(9, 1.0 / 9), cfg)
+        assert np.array_equal(res.weights, plain.x_star)
+        assert res.result.ratio == plain.ratio
+        assert res.result.iterations == plain.iterations
+        assert res.result.status is plain.status
 
     def test_nan_gradient_breaks_down(self):
         problem = FractionalProblem(
@@ -333,3 +361,30 @@ def test_adaptive_sharpe_properties(n, t, mean, seed):
         assert res.global_certificate
         fixed = srm_pga(model, PgaConfig())
         assert res.sharpe >= fixed.sharpe - 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    t=st.integers(5, 30),
+    seed=st.integers(0, 2**32 - 1),
+    adaptive=st.booleans(),
+)
+def test_no_positive_mean_returns_the_best_vertex(n, t, seed, adaptive):
+    # with every mean below zero the Sharpe ratio is quasiconvex on the
+    # simplex, so its maximum is the vertex of the largest p_i/sqrt(Q_ii)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.0, 0.04, (t, n))
+    values += rng.uniform(-0.03, -0.001, n) - values.mean(axis=0)
+    model = build_sharpe_model(returns_matrix(values))
+    assert model.p.max() < 0.0
+    best = np.argmax(model.p / np.sqrt(np.diag(model.q_eps)))
+    res = srm_pga(model, PgaConfig(adaptive=adaptive))
+    assert res.result.iterations == 1
+    assert res.result.status is Status.CONVERGED
+    assert np.allclose(res.weights, np.eye(n)[best], rtol=0.0, atol=1e-12)
+    assert not res.global_certificate
+    # no point of a random sample beats it
+    sample = rng.dirichlet(np.ones(n), 200)
+    ratios = (sample @ model.p) / np.sqrt(np.einsum("ij,jk,ik->i", sample, model.q_eps, sample))
+    assert np.all(ratios <= res.sharpe + 1e-12)

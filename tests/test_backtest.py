@@ -119,8 +119,8 @@ class TestMetrics:
         assert final == pytest.approx(0.75, rel=1e-12)
 
     def test_wealth_wipeout(self):
-        with pytest.raises(WealthWipeout):
-            compute_wealth([0.1, -1.0])
+        with pytest.raises(WealthWipeout, match="period 2"):
+            compute_wealth([0.1, -1.0, -1.5])
 
 
 class TestMarketStep:
@@ -233,7 +233,7 @@ class TestRunBacktest:
 
     def test_wipeout_detected(self):
         values = np.array([[0.01, 0.01], [0.02, 0.0], [-1.2, -1.2], [0.0, 0.0]])
-        with pytest.raises(WealthWipeout):
+        with pytest.raises(WealthWipeout, match="period 3"):
             run_backtest(returns_matrix(values), BacktestConfig(window=2, strategy="one-over-n"))
 
     def test_solver_error_annotated_with_period(self):

@@ -142,8 +142,10 @@ class TestSrmPga:
             assert np.allclose(res.weights, [0.0, 1.0], atol=1e-6)
 
     def test_identical_means_fixed_point(self):
-        # p proportional to the all-ones vector: the equal-weight start is
-        # already a critical point; certify via the residual, not a closed form
+        # p proportional to the all-ones vector and Q_eps = eps*I: equal
+        # weights are a critical point, the optimum for c > 0 (Sharpe
+        # c*sqrt(3/eps)) but the worst portfolio for c < 0, where every
+        # vertex reaches c/sqrt(eps) = -2.0
         for c in (0.02, -0.02):
             model = build_sharpe_model(constant_returns([c, c, c], 4), 1e-4)
             res = srm_pga(model)
@@ -151,6 +153,10 @@ class TestSrmPga:
             residual = fixed_point_residual(problem, res.weights, default_alpha(problem))
             assert residual <= 1e-5
             assert res.global_certificate == (c >= 0)
+            if c < 0:
+                assert np.count_nonzero(res.weights) == 1
+                assert res.weights.max() == 1.0
+                assert res.sharpe == pytest.approx(-2.0, rel=1e-9)
 
     def test_single_asset(self):
         model = build_sharpe_model(constant_returns([0.01], 3), 1e-4)
