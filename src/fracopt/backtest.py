@@ -76,14 +76,18 @@ def load_returns_csv(path, unit=ReturnsUnit.DECIMAL):
     """Read a returns CSV: header of asset labels, optional leading label column.
 
     Percent input is divided by 100; the returned matrix is always decimal.
-    A non-numeric or NaN cell raises ParseError with its 1-based row/column;
+    Undecodable bytes or a malformed CSV line raise ParseError, and a
+    non-numeric or NaN cell raises ParseError with its 1-based row/column;
     fewer than two data rows raises InsufficientData. The unit is an
     explicit flag on purpose: auto-detecting percent vs decimal would
     silently corrupt every downstream metric by a factor of 100.
     """
     unit = ReturnsUnit(unit)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: not a readable CSV text file ({exc})") from exc
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if len(rows) < 3:
         raise InsufficientData(f"{path}: need a header and at least 2 data rows")

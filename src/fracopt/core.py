@@ -33,9 +33,9 @@ descent stays monotone, and the solve then stops converged; otherwise the
 iteration continues from the unchanged iterate, and the finish is not
 tried again until the zero pattern changes and settles again.
 
-An equivalent "shifted" sweep that subtracts a known lower bound M of the
-ratio from the numerator is provided for cross-checking: it produces the
-identical iterate sequence but reports nonnegative shifted ratio values.
+The paper's analysis subtracts a lower bound M of the ratio from the
+numerator, which changes no update: :func:`pga_solve_shifted` reports the
+plain sweep bit for bit, with the ratios minus M.
 """
 
 import enum
@@ -205,8 +205,8 @@ def fixed_point_residual(problem, x, alpha):
     Zero exactly at fixed points of the iteration map, which are the
     critical points of the constrained ratio.
     """
-    if not alpha > 0:
-        raise InvalidParameter(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise InvalidParameter(f"alpha must be positive and finite, got {alpha}")
     x = _as_point(x, problem.dimension, "x")
     c = problem.ratio(x)
     y = problem.projection(x - alpha * problem.grad_f(x) + alpha * c * problem.grad_g(x))
@@ -242,36 +242,15 @@ def _project_update(projection, step_dir, k):
     return projection(step_dir)
 
 
-def _shifted_oracle(problem, shift):
-    """(ratio_and_g, numerator gradient) of the shifted numerator f - shift*g."""
-
-    def shifted_ratio(x):
-        c, gx = problem.ratio_and_g(x)
-        c -= shift
-        if c < -1e-10:
-            raise ShiftViolation(
-                f"shifted ratio {c} < 0: {shift} is not a lower bound of f/g"
-            )
-        return c, gx
-
-    def shifted_grad(x):
-        return problem.grad_f(x) - shift * problem.grad_g(x)
-
-    return shifted_ratio, shifted_grad
-
-
-def _run_pga(problem, x0, cfg, shift=None):
-    """The solver loop of both step rules; ``shift`` selects the shifted form."""
+def _run_pga(problem, x0, cfg):
+    """The solver loop of both step rules."""
     alpha = _resolve_alpha(problem, cfg)
     x = _check_start(problem, x0)
     trace = SolveTrace() if cfg.record_trace else None
     adaptive = cfg.adaptive
-    if shift is None:
-        ratio_fn, numerator_grad = problem.ratio_and_g, problem.grad_f
-    else:
-        ratio_fn, numerator_grad = _shifted_oracle(problem, shift)
+    ratio_and_g = problem.ratio_and_g
     projection = problem.projection
-    grad_g = problem.grad_g
+    grad_f, grad_g = problem.grad_f, problem.grad_g
 
     finish = problem.finish if adaptive else None
     # zero pattern of x, and the accepted iterations it has held since it
@@ -281,10 +260,10 @@ def _run_pga(problem, x0, cfg, shift=None):
 
     status = Status.MAX_ITER_REACHED
     iterations = cfg.max_iter
-    c, gx = ratio_fn(x)
+    c, gx = ratio_and_g(x)
     step = alpha
     for k in range(1, cfg.max_iter + 1):
-        grad_n = numerator_grad(x)
+        grad_n = grad_f(x)
         grad_d = grad_g(x)
         if adaptive:
             # d/g(x) is the gradient of the ratio; the trial step is the
@@ -305,7 +284,7 @@ def _run_pga(problem, x0, cfg, shift=None):
                 step = alpha
             step_dir = x - step * grad_n + (step * c) * grad_d
             x_next = _project_update(projection, step_dir, k)
-            c_next, g_next = ratio_fn(x_next)
+            c_next, g_next = ratio_and_g(x_next)
             diff = x_next - x
             dd = float(diff @ diff)
             if step == alpha or c_next <= c - _SIGMA * dd / (step * gx):
@@ -335,7 +314,7 @@ def _run_pga(problem, x0, cfg, shift=None):
             continue
         x_fin = finish(x)
         if x_fin is not None:
-            c_fin, _ = ratio_fn(x_fin)
+            c_fin, _ = ratio_and_g(x_fin)
             if c_fin <= c:
                 if trace is not None:
                     trace.iterates.append(x)
@@ -373,11 +352,23 @@ def pga_solve(problem, x0, cfg=None):
 
 
 def pga_solve_shifted(problem, shift, x0, cfg=None):
-    """Run the iteration on the shifted numerator f - shift*g.
+    """:func:`pga_solve` reported for the shifted numerator f - shift*g.
 
-    ``shift`` must be a lower bound of f/g on the feasible set, so that the
-    shifted ratio stays nonnegative; a negative shifted ratio (beyond
-    -1e-10) raises ShiftViolation. The iterate sequence is algebraically
-    identical to :func:`pga_solve`; the reported ratios are the shifted ones.
+    The shifted update is the plain one, so the iterates, iteration count and
+    status are :func:`pga_solve`'s bit for bit; the ratios are the plain ones
+    minus ``shift``. A non-finite ``shift`` raises InvalidParameter before the
+    solve. ``shift`` must be a lower bound of f/g: the descent is monotone, so
+    a final shifted ratio below -1e-10 raises ShiftViolation after the solve.
     """
-    return _run_pga(problem, x0, cfg or PgaConfig(), float(shift))
+    shift = float(shift)
+    if not math.isfinite(shift):
+        raise InvalidParameter(f"shift must be finite, got {shift}")
+    result = _run_pga(problem, x0, cfg or PgaConfig())
+    result.ratio -= shift
+    if result.ratio < -1e-10:
+        raise ShiftViolation(
+            f"shifted ratio {result.ratio} < 0: {shift} is not a lower bound of f/g"
+        )
+    if result.trace is not None:
+        result.trace.ratios = [c - shift for c in result.trace.ratios]
+    return result

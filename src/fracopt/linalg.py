@@ -5,6 +5,7 @@ matrices are validated on entry (finite, of the expected rank) and the
 routines never mutate their inputs.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -44,16 +45,16 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=10_000):
     most ``tol`` relative between sweeps.
 
     Raises InvalidMatrix for non-square or asymmetric input (beyond 1e-10
-    relative asymmetry), InvalidParameter unless ``tol`` > 0 and ``max_iter``
-    is an integer >= 1, and NoConvergence if ``max_iter`` sweeps do not
-    settle the Rayleigh quotient.
+    relative asymmetry), InvalidParameter unless ``tol`` is positive and
+    finite and ``max_iter`` is an integer >= 1, and NoConvergence if
+    ``max_iter`` sweeps do not settle the Rayleigh quotient.
     """
     a = as_matrix(m)
     n, ncols = a.shape
     if n != ncols:
         raise InvalidMatrix(f"matrix is {n}x{ncols}, not square")
-    if not tol > 0:
-        raise InvalidParameter(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise InvalidParameter(f"tol must be positive and finite, got {tol}")
     if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise InvalidParameter(f"max_iter must be an integer >= 1, got {max_iter!r}")
     scale = float(np.max(np.abs(a)))

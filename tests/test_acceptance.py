@@ -5,6 +5,7 @@ lines on the terminal. Every tolerance is pinned here; none is calibrated
 at runtime.
 """
 
+import dataclasses
 import time
 from contextlib import contextmanager
 
@@ -199,6 +200,16 @@ def test_criterion_07_shifted_form_equivalence():
             assert len(plain.trace.iterates) == 51
             assert len(shifted.trace.iterates) == 51
             for a, b in zip(plain.trace.iterates, shifted.trace.iterates):
+                assert np.allclose(a, b, atol=1e-10)
+            # the shifted numerator as a problem of its own, through its own rounding
+            explicit = dataclasses.replace(
+                problem,
+                eval_f=lambda x, p=problem, m=shift: p.eval_f(x) - m * p.eval_g(x),
+                grad_f=lambda x, p=problem, m=shift: p.grad_f(x) - m * p.grad_g(x),
+            )
+            own = pga_solve(explicit, x0, cfg)
+            assert len(own.trace.iterates) == 51
+            for a, b in zip(plain.trace.iterates, own.trace.iterates):
                 assert np.allclose(a, b, atol=1e-10)
 
 

@@ -82,6 +82,12 @@ class TestLoader:
         assert excinfo.value.row == 3
         assert excinfo.value.col == 3
 
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "returns.csv"
+        path.write_bytes(b"A,B\n0.01,\xff\xfe\n0.02,0.0\n")
+        with pytest.raises(ParseError, match="returns.csv"):
+            load_returns_csv(str(path))
+
     def test_nan_cell_rejected(self, tmp_path):
         path = write_csv(tmp_path, "date,A,B\nx,1.0,2.0\ny,3.0,nan\n")
         with pytest.raises(ParseError):

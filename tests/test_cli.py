@@ -208,6 +208,13 @@ class TestSharpeCommand:
         code, _, _ = run_cli(capsys, "sharpe", "--data", data, "--out", str(tmp_path))
         assert code == 4
 
+    def test_undecodable_bytes_exit_4(self, capsys, tmp_path):
+        data = tmp_path / "returns.csv"
+        data.write_bytes(b"A,B\n0.01,\xff\xfe\n0.02,0.0\n")
+        code, _, err = run_cli(capsys, "sharpe", "--data", str(data), "--out", str(tmp_path))
+        assert code == 4
+        assert err.startswith("error: ") and "returns.csv" in err
+
     def test_all_zero_means_exit_4(self, capsys, tmp_path):
         # DegenerateModel: the step bound is undefined when every mean is zero
         data = write_csv(tmp_path, "A,B\n0.01,-0.02\n-0.01,0.02\n")

@@ -145,6 +145,34 @@ class TestShiftedForm:
         # the ratio dips below zero on this problem, so 0 is not a lower bound
         with pytest.raises(ShiftViolation):
             pga_solve_shifted(build_sim1(SIM1_A), 0.0, [0.5, 0.5])
+        with pytest.raises(ShiftViolation):
+            pga_solve_shifted(build_sim1(SIM1_A), 0.0, [0.5, 0.5], PgaConfig(record_trace=True))
+
+    @pytest.mark.parametrize("shift", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_shift_rejected(self, shift):
+        with pytest.raises(InvalidParameter, match="shift must be finite"):
+            pga_solve_shifted(build_sim1(SIM1_B), shift, [0.5, 0.5])
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize(
+        "problem,shift,x0",
+        [
+            (build_sim1(SIM1_B), sim1_shift_bound(SIM1_B), [0.5, 0.5]),
+            (build_sim2(SIM2_BENCH), 1.0, [50.0, 50.0]),
+        ],
+        ids=["sim1", "sim2"],
+    )
+    def test_plain_sweep_bit_for_bit(self, problem, shift, x0, adaptive):
+        cfg = PgaConfig(tol=1e-30, max_iter=50, record_trace=True, adaptive=adaptive)
+        plain = pga_solve(problem, x0, cfg)
+        shifted = pga_solve_shifted(problem, shift, x0, cfg)
+        assert shifted.iterations == plain.iterations
+        assert shifted.status is plain.status
+        assert len(shifted.trace.iterates) == len(plain.trace.iterates)
+        for a, b in zip(plain.trace.iterates, shifted.trace.iterates):
+            assert np.array_equal(a, b)
+        assert shifted.trace.ratios == [c - shift for c in plain.trace.ratios]
+        assert shifted.ratio == plain.ratio - shift
 
     def test_zero_shift_nonnegative_numerator_trivial(self):
         cfg = PgaConfig(tol=1e-7, record_trace=True)
@@ -176,6 +204,8 @@ class TestFixedPointResidual:
     def test_bad_alpha(self):
         with pytest.raises(InvalidParameter):
             fixed_point_residual(build_sim1(SIM1_A), [0.5, 0.5], 0.0)
+        with pytest.raises(InvalidParameter):
+            fixed_point_residual(build_sim2(SIM2_BENCH), [50.0, 50.0], float("inf"))
 
     def test_wrong_point_dimension(self):
         with pytest.raises(InvalidParameter, match="x has length 3"):

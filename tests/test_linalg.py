@@ -53,6 +53,8 @@ class TestDominantEigenvalue:
             dominant_eigenvalue(np.eye(2), tol=0.0)
         with pytest.raises(InvalidParameter):
             dominant_eigenvalue(np.eye(2), tol=float("nan"))
+        with pytest.raises(InvalidParameter):
+            dominant_eigenvalue(np.diag([3.0, 1.0]), tol=float("inf"))
         for max_iter in (0, 2.5, -1):
             with pytest.raises(InvalidParameter):
                 dominant_eigenvalue(np.eye(2), max_iter=max_iter)
