@@ -75,11 +75,13 @@ class BacktestReport:
 def load_returns_csv(path, unit=ReturnsUnit.DECIMAL):
     """Read a returns CSV: header of asset labels, optional leading label column.
 
-    Percent input is divided by 100; the returned matrix is always decimal.
-    Undecodable bytes or a malformed CSV line raise ParseError, and a
-    non-numeric or NaN cell raises ParseError with its 1-based row/column;
-    fewer than two data rows raises InsufficientData. The unit is an
-    explicit flag on purpose: auto-detecting percent vs decimal would
+    A blank first header cell (the index column pandas writes) or a
+    non-numeric first data cell marks the period-label column. Percent
+    input is divided by 100; the returned matrix is always decimal.
+    Undecodable bytes, a malformed CSV line or a blank asset label raise
+    ParseError; a non-numeric or NaN cell raises ParseError with its 1-based
+    row/column; fewer than two data rows raises InsufficientData. The unit
+    is an explicit flag on purpose: auto-detecting percent vs decimal would
     silently corrupt every downstream metric by a factor of 100.
     """
     unit = ReturnsUnit(unit)
@@ -93,7 +95,6 @@ def load_returns_csv(path, unit=ReturnsUnit.DECIMAL):
         raise InsufficientData(f"{path}: need a header and at least 2 data rows")
     header, data = rows[0], rows[1:]
 
-    # a non-numeric first cell in the first data row marks a label column
     def _is_number(cell):
         try:
             float(cell)
@@ -101,11 +102,14 @@ def load_returns_csv(path, unit=ReturnsUnit.DECIMAL):
         except ValueError:
             return False
 
-    has_labels = not _is_number(data[0][0])
+    has_labels = not header[0].strip() or not _is_number(data[0][0])
     offset = 1 if has_labels else 0
     asset_labels = [h.strip() for h in header[offset:]]
     if not asset_labels:
         raise ParseError(f"{path}: header defines no asset columns", row=1)
+    if "" in asset_labels:
+        col = asset_labels.index("") + 1 + offset
+        raise ParseError(f"{path}: blank asset label at row 1, column {col}", row=1, col=col)
 
     period_labels = [] if has_labels else None
     values = np.empty((len(data), len(asset_labels)))

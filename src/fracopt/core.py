@@ -107,12 +107,8 @@ class FractionalProblem:
 
     def ratio(self, x):
         """f(x)/g(x) with positivity and NaN checks."""
-        return self.ratio_and_g(x)[0]
-
-    def ratio_and_g(self, x):
-        """(f(x)/g(x), g(x)) with the checks of :meth:`ratio`."""
         fx, gx = self._f_and_g(x)
-        return fx / gx, gx
+        return fx / gx
 
     def _f_and_g(self, x):
         """(f(x), g(x)), each evaluated once, with the checks of :meth:`ratio`."""
@@ -248,7 +244,7 @@ def _run_pga(problem, x0, cfg):
     x = _check_start(problem, x0)
     trace = SolveTrace() if cfg.record_trace else None
     adaptive = cfg.adaptive
-    ratio_and_g = problem.ratio_and_g
+    f_and_g = problem._f_and_g
     projection = problem.projection
     grad_f, grad_g = problem.grad_f, problem.grad_g
 
@@ -260,7 +256,8 @@ def _run_pga(problem, x0, cfg):
 
     status = Status.MAX_ITER_REACHED
     iterations = cfg.max_iter
-    c, gx = ratio_and_g(x)
+    fx, gx = f_and_g(x)
+    c = fx / gx
     step = alpha
     for k in range(1, cfg.max_iter + 1):
         grad_n = grad_f(x)
@@ -284,7 +281,8 @@ def _run_pga(problem, x0, cfg):
                 step = alpha
             step_dir = x - step * grad_n + (step * c) * grad_d
             x_next = _project_update(projection, step_dir, k)
-            c_next, g_next = ratio_and_g(x_next)
+            f_next, g_next = f_and_g(x_next)
+            c_next = f_next / g_next
             diff = x_next - x
             dd = float(diff @ diff)
             if step == alpha or c_next <= c - _SIGMA * dd / (step * gx):
@@ -314,7 +312,7 @@ def _run_pga(problem, x0, cfg):
             continue
         x_fin = finish(x)
         if x_fin is not None:
-            c_fin, _ = ratio_and_g(x_fin)
+            c_fin = problem.ratio(x_fin)
             if c_fin <= c:
                 if trace is not None:
                     trace.iterates.append(x)

@@ -11,8 +11,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import SolveResult, SolveTrace, Status, _check_start
 from .errors import InnerSolverFailure, InvalidParameter, InvalidStart
 
@@ -42,8 +40,9 @@ def _projected_gradient(problem, c, x, step, tol, max_iter):
     for _ in range(int(max_iter)):
         grad = problem.grad_f(x) + c * problem.grad_g(x)
         x_next = problem.projection(x - step * grad)
-        move = float(np.linalg.norm(x_next - x))
-        base = float(np.linalg.norm(x))
+        diff = x_next - x
+        move = math.sqrt(float(diff @ diff))
+        base = math.sqrt(float(x @ x))
         rel = move / base if base > 0.0 else move
         x = x_next
         if rel <= tol:

@@ -2,8 +2,8 @@
 
 Two families:
 
-* ``sim1``: minimize p.x / ||x|| over the 2-d probability simplex. The
-  global optimum has a closed form in terms of the signs of p.
+* ``sim1``: minimize p.x / ||x|| over the 2-d probability simplex, the Sharpe
+  form with Q = I. The global optimum has a closed form in the signs of p.
 * ``sim2``: minimize (x.A.x + a3)/(x.B.x + a6) over the unbounded band
   {|x2| <= a0} with diagonal A, B. Under the parameter conditions
   a1*a5 > a2*a4 and a3*a5 = a2*a6 the global minimizers are exactly the
@@ -11,15 +11,15 @@ Two families:
   gradient has a closed form used as an oracle for gradient checks.
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import FractionalProblem
-from .errors import InvalidParameter, NumericalBreakdown
+from .errors import InvalidParameter
 from .linalg import as_vector
-from .projections import band_projector, project_simplex
+from .projections import band_projector
+from .sharpe import SharpeModel, sharpe_problem
 
 _COND_RTOL = 1e-12
 
@@ -42,33 +42,13 @@ class Sim1Params:
 
 
 def build_sim1(params):
-    """Problem for min p.x/||x|| on the simplex; step bound 1/(4||p||)."""
-    p = params.p
-    p_norm = float(np.linalg.norm(p))
+    """Problem for min p.x/||x|| on the simplex; step bound 1/(4||p||).
 
-    def eval_g(x):
-        n = math.sqrt(float(x @ x))
-        if n < 1e-15:
-            raise NumericalBreakdown("||x|| ~ 0: the denominator is undefined at the origin")
-        return n
-
-    def grad_g(x):
-        return x / eval_g(x)
-
-    # special case of the Sharpe form with zero Gram term and unit
-    # regularizer, whose gradient Lipschitz constant on the 2-simplex is
-    # 2*sqrt(2); the shifted numerator bound is then 4*||p||
-    return FractionalProblem(
-        eval_f=lambda x: float(p @ x),
-        eval_g=eval_g,
-        grad_f=lambda x: p,
-        grad_g=grad_g,
-        projection=project_simplex,
-        step_bound=1.0 / (4.0 * p_norm),
-        dimension=2,
-        lip_grad_f=0.0,
-        lip_grad_g=2.0 * np.sqrt(2.0),
-    )
+    The Sharpe form with means -p, Gram term I, unit regularizer and no face finish.
+    """
+    step_bound = 1.0 / (4.0 * float(np.linalg.norm(params.p)))
+    model = SharpeModel(-params.p, np.eye(2), 1.0, 1.0, step_bound)
+    return replace(sharpe_problem(model), finish=None)
 
 
 def sim1_analytic_solution(params):

@@ -36,7 +36,13 @@ from typing import Optional
 import numpy as np
 
 from .core import FractionalProblem, PgaConfig, SolveResult, _as_point, pga_solve
-from .errors import DegenerateModel, DimensionError, InsufficientData, InvalidParameter
+from .errors import (
+    DegenerateModel,
+    DimensionError,
+    InsufficientData,
+    InvalidParameter,
+    NumericalBreakdown,
+)
 from .linalg import dominant_eigenvalue
 from .projections import project_simplex
 
@@ -140,22 +146,30 @@ def sharpe_objective(model, w):
 
 
 def sharpe_problem(model):
-    """The fractional program whose minimizer maximizes the Sharpe objective."""
+    """The fractional program whose minimizer maximizes the Sharpe objective.
+
+    ``eval_g`` raises NumericalBreakdown where w.Q_eps.w is not positive (w = 0).
+    """
     p = model.p
     q_eps = model.q_eps
+    neg_p = -p
 
+    # ndarray.dot: the association and rounding of @ at half its call cost on small arrays
     def eval_f(w):
-        return -float(p @ w)
+        return -float(p.dot(w))
 
     def eval_g(w):
-        return math.sqrt(w @ q_eps @ w)
+        variance = w.dot(q_eps).dot(w)
+        if not variance > 0.0:
+            raise NumericalBreakdown(f"w.Q.w = {variance}: the denominator is undefined at w")
+        return math.sqrt(variance)
 
     def grad_f(w):
-        return -p
+        return neg_p
 
     def grad_g(w):
-        qw = q_eps @ w
-        return qw / math.sqrt(w @ qw)
+        qw = q_eps.dot(w)
+        return qw / math.sqrt(w.dot(qw))
 
     def finish(w):
         # the tangency portfolio of the face: z solves Q_SS z = p_S, and the
@@ -229,7 +243,8 @@ def srm_pga(model, cfg=None):
     if p.sum() > 0.0:
         x0 = np.full(p.size, 1.0 / p.size)
     else:
-        x0 = np.eye(p.size)[np.argmax(p / np.sqrt(np.diag(model.q_eps)))]
+        x0 = np.zeros(p.size)
+        x0[np.argmax(p / np.sqrt(np.diag(model.q_eps)))] = 1.0
     result = pga_solve(sharpe_problem(model), x0, cfg or PgaConfig(adaptive=True))
     w = result.x_star
     return SrmResult(w, -result.ratio, bool(p @ w >= -1e-12), result)

@@ -22,6 +22,7 @@ from fracopt.core import (
     pga_solve,
     pga_solve_shifted,
 )
+from fracopt.dinkelbach import DinkelbachConfig, dinkelbach_solve
 from fracopt.errors import NumericalBreakdown, ShiftViolation
 from fracopt.models import (
     Sim1Params,
@@ -107,6 +108,24 @@ class TestAdaptiveStepUnchanged:
         assert res.iterations == iterations
         assert tuple(float(v).hex() for v in res.x_star) == x_star
         assert trace_digest(res.trace) == digest
+
+
+class TestDinkelbachUnchanged:
+    # frozen from sim1's own oracle before it became the Sharpe oracle with
+    # Q = I; the inner loop runs on grad_f + c*grad_g with the step from
+    # lip_grad_g, a path the PGA pins above do not cover
+    def test_sim1_trace_bit_identical(self):
+        res = dinkelbach_solve(build_sim1(SIM1_B), [0.5, 0.5], DinkelbachConfig(record_trace=True))
+        assert res.status is Status.CONVERGED
+        assert res.iterations == 3
+        assert tuple(float(v).hex() for v in res.x_star) == (
+            "0x1.5555555830233p-1",
+            "0x1.5555554f9fb9ap-2",
+        )
+        assert (
+            trace_digest(res.trace)
+            == "1c9c0b84792a9128c4cf6931d2989463219ff9316817c98605993964d85a0524"
+        )
 
 
 class TestAdaptiveMode:

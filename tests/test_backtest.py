@@ -88,6 +88,21 @@ class TestLoader:
         with pytest.raises(ParseError, match="returns.csv"):
             load_returns_csv(str(path))
 
+    def test_pandas_index_column(self, tmp_path):
+        # DataFrame.to_csv() writes the row index under a blank header cell
+        path = write_csv(tmp_path, ",A,B\n0,0.01,0.02\n1,0.03,0.04\n2,0.05,0.06\n")
+        r = load_returns_csv(path)
+        assert r.asset_labels == ("A", "B")
+        assert r.period_labels == ("0", "1", "2")
+        assert np.array_equal(r.values, [[0.01, 0.02], [0.03, 0.04], [0.05, 0.06]])
+
+    def test_blank_asset_label_rejected(self, tmp_path):
+        path = write_csv(tmp_path, "date,A,,B\nx,1.0,2.0,3.0\ny,3.0,4.0,5.0\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_returns_csv(path)
+        assert excinfo.value.row == 1
+        assert excinfo.value.col == 3
+
     def test_nan_cell_rejected(self, tmp_path):
         path = write_csv(tmp_path, "date,A,B\nx,1.0,2.0\ny,3.0,nan\n")
         with pytest.raises(ParseError):

@@ -215,6 +215,19 @@ class TestSharpeCommand:
         assert code == 4
         assert err.startswith("error: ") and "returns.csv" in err
 
+    def test_pandas_index_column_is_not_an_asset(self, capsys, tmp_path):
+        data = write_csv(tmp_path, ",HIGH,LOW\n" + "".join(f"{k},0.01,-0.02\n" for k in range(4)))
+        code, _, _ = run_cli(capsys, "sharpe", "--data", data, "--out", str(tmp_path))
+        assert code == 0
+        payload = json.loads((tmp_path / "sharpe_result.json").read_text())
+        assert payload["assets"] == ["HIGH", "LOW"]
+
+    def test_blank_asset_label_exit_4(self, capsys, tmp_path):
+        data = write_csv(tmp_path, "A,,B\n0.01,0.02,0.03\n0.02,0.0,0.01\n")
+        code, _, err = run_cli(capsys, "sharpe", "--data", data, "--out", str(tmp_path))
+        assert code == 4
+        assert err.startswith("error: ") and "blank asset label" in err
+
     def test_all_zero_means_exit_4(self, capsys, tmp_path):
         # DegenerateModel: the step bound is undefined when every mean is zero
         data = write_csv(tmp_path, "A,B\n0.01,-0.02\n-0.01,0.02\n")

@@ -8,6 +8,7 @@ from fracopt.errors import (
     DimensionError,
     InsufficientData,
     InvalidParameter,
+    NumericalBreakdown,
 )
 from fracopt.sharpe import (
     ReturnsMatrix,
@@ -125,6 +126,14 @@ class TestObjective:
         model = build_sharpe_model(constant_returns([0.1, 0.2], 4), 1e-4)
         with pytest.raises(InvalidParameter, match="w has length 3"):
             sharpe_objective(model, [0.2, 0.3, 0.5])
+
+    def test_problem_denominator_undefined_at_origin(self):
+        # w.Q_eps.w = 0 at the origin: eval_g refuses it itself instead of
+        # returning 0 for the ratio to reject
+        for n in (2, 5):
+            problem = sharpe_problem(random_model(np.random.default_rng(n), t=12, n=n))
+            with pytest.raises(NumericalBreakdown):
+                problem.eval_g(np.zeros(n))
 
 
 class TestSrmPga:
