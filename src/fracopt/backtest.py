@@ -75,8 +75,10 @@ class BacktestReport:
 def load_returns_csv(path, unit=ReturnsUnit.DECIMAL):
     """Read a returns CSV: header of asset labels, optional leading label column.
 
-    A blank first header cell (the index column pandas writes) or a
-    non-numeric first data cell marks the period-label column. Percent
+    The first column holds period labels when its header cell is blank (the
+    index column pandas writes), when its first data cell is not a number,
+    or when other columns follow and every cell in it is an integer, in
+    strictly increasing order (years, yyyymmdd dates, period indices). Percent
     input is divided by 100; the returned matrix is always decimal.
     Undecodable bytes, a malformed CSV line or a blank asset label raise
     ParseError; a non-numeric or NaN cell raises ParseError with its 1-based
@@ -102,7 +104,18 @@ def load_returns_csv(path, unit=ReturnsUnit.DECIMAL):
         except ValueError:
             return False
 
-    has_labels = not header[0].strip() or not _is_number(data[0][0])
+    def _increasing_integers(cells):
+        try:
+            ints = [int(cell) for cell in cells]
+        except ValueError:
+            return False
+        return all(a < b for a, b in zip(ints, ints[1:]))
+
+    has_labels = (
+        not header[0].strip()
+        or not _is_number(data[0][0])
+        or (len(header) > 1 and _increasing_integers(row[0] for row in data))
+    )
     offset = 1 if has_labels else 0
     asset_labels = [h.strip() for h in header[offset:]]
     if not asset_labels:

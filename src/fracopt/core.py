@@ -30,8 +30,9 @@ finitely many steps (Nutini, Schmidt & Hare), finished by an exact solve on
 the identified face as in Bertsekas's projected Newton methods. A returned
 point is taken only when its ratio is at most the current one, so the
 descent stays monotone, and the solve then stops converged; otherwise the
-iteration continues from the unchanged iterate, and the finish is not
-tried again until the zero pattern changes and settles again.
+iteration continues from the unchanged iterate, and that face is not offered
+again within the solve: its answer would be the same, and the ratio it had
+to beat only falls.
 
 The paper's analysis subtracts a lower bound M of the ratio from the
 numerator, which changes no update: :func:`pga_solve_shifted` reports the
@@ -146,10 +147,9 @@ class PgaConfig:
     Stop when the gradient mapping of the ratio ||x+ - x|| / (a*g(x)) <= tol.
     When the problem has a ``finish``, it is called after an accepted
     iteration once the zero pattern of x has been unchanged for 3 accepted
-    iterations, and not again until the pattern changes and settles again.
-    Its point is taken only if its ratio is at most c(x); the solve then
-    stops converged, and the trace ends with that point. The fixed step
-    never calls it.
+    iterations, and at most once per zero pattern in a solve. Its point is
+    taken only if its ratio is at most c(x); the solve then stops converged,
+    and the trace ends with that point. The fixed step never calls it.
     """
 
     alpha: Optional[float] = None
@@ -253,6 +253,9 @@ def _run_pga(problem, x0, cfg):
     # last changed
     zeros = None
     settled = 0
+    # zero patterns whose finish was declined: the finish depends only on the
+    # face and c only falls, so it would be declined again
+    declined = set()
 
     status = Status.MAX_ITER_REACHED
     iterations = cfg.max_iter
@@ -308,7 +311,7 @@ def _run_pga(problem, x0, cfg):
         zeros_next = (x == 0.0).tobytes()
         settled = settled + 1 if zeros_next == zeros else 0
         zeros = zeros_next
-        if settled != _FINISH_LAG:
+        if settled != _FINISH_LAG or zeros in declined:
             continue
         x_fin = finish(x)
         if x_fin is not None:
@@ -321,6 +324,7 @@ def _run_pga(problem, x0, cfg):
                 status = Status.CONVERGED
                 iterations = k
                 break
+        declined.add(zeros)
     if trace is not None:
         trace.iterates.append(x)
         trace.ratios.append(c)

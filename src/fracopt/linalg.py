@@ -2,7 +2,9 @@
 
 All arithmetic is 64-bit floating point on numpy arrays. Vectors and
 matrices are validated on entry (finite, of the expected rank) and the
-routines never mutate their inputs.
+routines never mutate their inputs. ``as_vector`` returns a copy;
+``dominant_eigenvalue`` reads its matrix in place, so a model build hands
+it the Gram matrix it has just formed without a second N x N array.
 """
 
 import math
@@ -25,31 +27,35 @@ def as_vector(x):
     return v
 
 
-def as_matrix(m):
-    """Coerce to a finite 2-d float64 array, copying the input."""
-    a = np.array(m, dtype=float)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidParameter("matrix entries must be finite (no NaN/Inf)")
-    return a
-
-
 def dominant_eigenvalue(m, tol=1e-10, max_iter=10_000):
     """Largest eigenvalue of a symmetric PSD matrix by power iteration.
 
     Starts from a fixed deterministic ramp vector (1, 2, ..., n normalized;
     the all-ones vector can be exactly orthogonal to the dominant
     eigenvector of a demeaned Gram matrix, which locks the iteration onto a
-    smaller eigenvalue) and stops when the Rayleigh quotient changes by at
-    most ``tol`` relative between sweeps.
+    smaller eigenvalue). Each sweep forms one product A.v, takes the
+    Rayleigh quotient v.(A.v) of the unit vector v from it, and moves v to
+    A.v normalized; the iteration stops when the quotient changes by at most
+    ``tol`` relative between sweeps.
 
-    Raises InvalidMatrix for non-square or asymmetric input (beyond 1e-10
-    relative asymmetry), InvalidParameter unless ``tol`` is positive and
-    finite and ``max_iter`` is an integer >= 1, and NoConvergence if
-    ``max_iter`` sweeps do not settle the Rayleigh quotient.
+    The input is read in place, never copied or written. Raises
+    DimensionError for input that is not a non-empty 2-d array,
+    InvalidParameter for NaN or Inf entries, InvalidMatrix for non-square or
+    asymmetric input (beyond 1e-10 relative asymmetry), InvalidParameter
+    unless ``tol`` is positive and finite and ``max_iter`` is an integer
+    >= 1, and NoConvergence if ``max_iter`` sweeps do not settle the
+    Rayleigh quotient.
     """
-    a = as_matrix(m)
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2:
+        raise DimensionError(f"expected a 2-d matrix, got ndim={a.ndim}")
+    if a.size == 0:
+        raise DimensionError(f"expected a non-empty matrix, got shape {a.shape}")
+    # the largest magnitude from two reductions, without an |A| temporary; a
+    # NaN entry makes both of them NaN
+    scale = max(float(a.max()), -float(a.min()))
+    if not math.isfinite(scale):
+        raise InvalidParameter("matrix entries must be finite (no NaN/Inf)")
     n, ncols = a.shape
     if n != ncols:
         raise InvalidMatrix(f"matrix is {n}x{ncols}, not square")
@@ -57,15 +63,14 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=10_000):
         raise InvalidParameter(f"tol must be positive and finite, got {tol}")
     if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise InvalidParameter(f"max_iter must be an integer >= 1, got {max_iter!r}")
-    scale = float(np.max(np.abs(a)))
     if scale == 0.0:
         return 0.0  # zero matrix: valid PSD edge case
-    if float(np.max(np.abs(a - a.T))) > _SYMMETRY_RTOL * scale:
+    if not np.array_equal(a, a.T) and float(np.max(np.abs(a - a.T))) > _SYMMETRY_RTOL * scale:
         raise InvalidMatrix("matrix asymmetry exceeds 1e-10 relative")
 
     v = np.arange(1.0, n + 1.0)
     v /= np.linalg.norm(v)
-    lam = float(v @ a @ v)
+    lam = None
     restarts = 0
     for _ in range(max_iter):
         w = a @ v
@@ -78,9 +83,9 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=10_000):
             v[restarts] = 1.0
             restarts += 1
             continue
-        v = w / wn
-        lam_new = float(v @ a @ v)
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), np.finfo(float).tiny):
+        lam_new = float(v @ w)
+        if lam is not None and abs(lam_new - lam) <= tol * max(abs(lam_new), np.finfo(float).tiny):
             return lam_new
         lam = lam_new
+        v = w / wn
     raise NoConvergence(f"power iteration did not converge in {max_iter} sweeps")

@@ -6,7 +6,9 @@ probability simplex and the horizontal band {x in R^2 : |x2| <= a0}.
 
 The simplex projection validates its input (rank, non-empty, finite)
 without a defensive copy: finiteness is read off the running sum that the
-projection computes anyway, so a valid input costs no extra pass.
+projection computes anyway, so a valid input costs no extra pass. It sorts
+with numpy's default (unstable) kind: entries that tie are equal values, so
+their order changes neither the threshold nor the output bytes.
 """
 
 import math
@@ -35,7 +37,7 @@ def project_simplex(x):
     if n == 0:
         raise DimensionError("cannot project an empty vector")
     u = x.copy()
-    u.sort(kind="stable")
+    u.sort()
     u = u[::-1]
     css = u.cumsum()
     # a NaN or Inf entry makes the total non-finite; finite entries whose

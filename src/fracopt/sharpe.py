@@ -27,6 +27,13 @@ multiplier of the QP form min y.Q.y s.t. p.y = 1, y >= 0 is nonnegative;
 those are the KKT conditions of the long-only optimum (z > 0 gives
 p.z = z.Q_SS.z > 0), so the offered point is the maximiser. The answer
 depends on the support alone, not on where the weights sit on it.
+
+Each dense product is formed once. ``build_sharpe_model`` demeans, scales
+and regularizes the Gram matrix in place and hands it to the power
+iteration without a copy. The oracle's ``eval_g`` keeps Q.w and
+g = sqrt(w.(Q.w)) with the bytes of w, and ``grad_g`` reuses them when its
+point has those bytes, so a solver iteration pays one product with Q per
+trial point. ``sharpe_objective`` evaluates S(w) through that same oracle.
 """
 
 import math
@@ -117,17 +124,20 @@ def build_sharpe_model(r, eps_hat=1e-4):
     """Assemble the Sharpe objective from a returns matrix.
 
     p is the column mean of the returns; the demeaned, 1/sqrt(T-1)-scaled
-    matrix forms the Gram term; eps_hat*I regularizes it. Raises
-    DegenerateModel when every asset has zero mean return (the step bound
-    is undefined there).
+    matrix forms the Gram term; eps_hat*I regularizes it. Both steps work in
+    place on arrays the build allocates, with the rounding of the direct
+    formula. Raises DegenerateModel when every asset has zero mean return
+    (the step bound is undefined there).
     """
     if not 0 < eps_hat < math.inf:
         raise InvalidParameter(f"eps_hat must be positive and finite, got {eps_hat}")
     values = r.values
     t, n = values.shape
     p = values.mean(axis=0)
-    q = (values - p) / np.sqrt(t - 1.0)
-    q_eps = q.T @ q + eps_hat * np.eye(n)
+    q = values - p
+    q /= np.sqrt(t - 1.0)
+    q_eps = q.T @ q
+    q_eps.flat[:: n + 1] += eps_hat
     lambda1 = dominant_eigenvalue(q_eps, tol=_EIG_TOL)
     p_norm = float(np.linalg.norm(p))
     if p_norm == 0.0:
@@ -137,39 +147,55 @@ def build_sharpe_model(r, eps_hat=1e-4):
 
 
 def sharpe_objective(model, w):
-    """S(w) = p.w / sqrt(w.Q_eps.w); scale-invariant in w, undefined at w = 0."""
+    """S(w) = p.w / sqrt(w.Q_eps.w); scale-invariant in w, undefined at w = 0.
+
+    Computed by the oracle of :func:`sharpe_problem`, so at ``srm_pga``'s
+    weights it equals the reported ``sharpe`` exactly.
+    """
     w = _as_point(w, model.n_assets, "w")
-    variance = float(w @ model.q_eps @ w)
-    if not variance > 0.0:
+    if not w.any():
         raise InvalidParameter("the Sharpe ratio is undefined at w = 0")
-    return float(model.p @ w) / math.sqrt(variance)
+    return -sharpe_problem(model).ratio(w)
 
 
 def sharpe_problem(model):
     """The fractional program whose minimizer maximizes the Sharpe objective.
 
     ``eval_g`` raises NumericalBreakdown where w.Q_eps.w is not positive (w = 0).
+    ``grad_g`` at the point ``eval_g`` saw last reuses its Q.w; the point is
+    matched by content, so an array changed in place since is computed anew.
     """
     p = model.p
     q_eps = model.q_eps
     neg_p = -p
+    # the bytes of the last point eval_g saw, with its Q.w and g: the solver
+    # asks grad_g at the trial point it last evaluated, which then costs no
+    # second product with Q
+    last = (None, None, None)
 
     # ndarray.dot: the association and rounding of @ at half its call cost on small arrays
     def eval_f(w):
         return -float(p.dot(w))
 
     def eval_g(w):
-        variance = w.dot(q_eps).dot(w)
+        nonlocal last
+        qw = q_eps.dot(w)
+        variance = w.dot(qw)
         if not variance > 0.0:
             raise NumericalBreakdown(f"w.Q.w = {variance}: the denominator is undefined at w")
-        return math.sqrt(variance)
+        g = math.sqrt(variance)
+        last = (w.tobytes(), qw, g)
+        return g
 
     def grad_f(w):
         return neg_p
 
     def grad_g(w):
-        qw = q_eps.dot(w)
-        return qw / math.sqrt(w.dot(qw))
+        key, qw, g = last
+        if w.tobytes() != key:
+            qw = q_eps.dot(w)
+            g = math.sqrt(w.dot(qw))
+        return qw / g
 
     def finish(w):
         # the tangency portfolio of the face: z solves Q_SS z = p_S, and the
@@ -177,11 +203,11 @@ def sharpe_problem(model):
         # off-support multiplier of the QP form, a positive multiple of
         # (Q z - p) there, is nonnegative
         idx = np.flatnonzero(w)
-        z = np.linalg.solve(q_eps[idx][:, idx], p[idx])
+        z = np.linalg.solve(q_eps[np.ix_(idx, idx)], p[idx])
         if not np.all(z > 0.0):
             return None
-        off = w == 0.0
-        if not np.all(q_eps[off][:, idx] @ z >= p[off]):
+        off = np.flatnonzero(w == 0.0)
+        if not np.all(q_eps[np.ix_(off, idx)] @ z >= p[off]):
             return None
         w_fin = np.zeros_like(w)
         w_fin[idx] = z / z.sum()

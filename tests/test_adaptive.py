@@ -311,6 +311,24 @@ class TestExactFinish:
                 assert trace_digest(res.trace) == trace_digest(base.trace)
                 assert np.array_equal(res.x_star, base.x_star)
 
+    def test_declined_face_is_not_offered_again(self):
+        # on this model the iterates settle on one face, leave it for one
+        # iteration and settle on it again
+        problem = sharpe_problem(self.model(4, (40, 20)))
+        base = self.solve(problem, None)
+        settled = settled_faces(base.trace.iterates[1:])
+        assert settled == 2
+        calls = []
+
+        def declines(x):
+            calls.append((x == 0.0).tobytes())
+            return None
+
+        res = self.solve(problem, declines)
+        assert len(calls) == len(set(calls)) == settled - 1
+        assert res.iterations == base.iterations
+        assert trace_digest(res.trace) == trace_digest(base.trace)
+
     def test_accepted_finish_stops_converged_on_an_aligned_monotone_trace(self):
         model = self.model()
         problem = sharpe_problem(model)

@@ -96,6 +96,30 @@ class TestLoader:
         assert r.period_labels == ("0", "1", "2")
         assert np.array_equal(r.values, [[0.01, 0.02], [0.03, 0.04], [0.05, 0.06]])
 
+    def test_named_increasing_integer_column_is_period_labels(self, tmp_path):
+        path = write_csv(tmp_path, "year,A,B\n1990,0.01,0.02\n1991,0.03,0.01\n1992,0.02,0.02\n")
+        r = load_returns_csv(path)
+        assert r.asset_labels == ("A", "B")
+        assert r.period_labels == ("1990", "1991", "1992")
+        assert np.array_equal(r.values, [[0.01, 0.02], [0.03, 0.01], [0.02, 0.02]])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "A,B\n1,2\n3,1\n2,5\n",  # integers, not increasing
+            "A,B\n1,2\n1,1\n2,5\n",  # integers, not strictly increasing
+            "A,B\n1,2\n2.5,1\n3,5\n",  # increasing, not all integers
+            "A\n1\n2\n3\n",  # increasing integers, but no column left to label
+        ],
+        ids=["unordered", "repeated", "fractional", "single-column"],
+    )
+    def test_other_numeric_first_column_stays_an_asset(self, tmp_path, text):
+        header, *rows = text.split()
+        r = load_returns_csv(write_csv(tmp_path, text))
+        assert r.period_labels is None
+        assert r.asset_labels == tuple(header.split(","))
+        assert np.array_equal(r.values, [[float(c) for c in row.split(",")] for row in rows])
+
     def test_blank_asset_label_rejected(self, tmp_path):
         path = write_csv(tmp_path, "date,A,,B\nx,1.0,2.0,3.0\ny,3.0,4.0,5.0\n")
         with pytest.raises(ParseError) as excinfo:

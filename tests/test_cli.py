@@ -222,6 +222,14 @@ class TestSharpeCommand:
         payload = json.loads((tmp_path / "sharpe_result.json").read_text())
         assert payload["assets"] == ["HIGH", "LOW"]
 
+    def test_named_year_column_is_not_an_asset(self, capsys, tmp_path):
+        data = write_csv(tmp_path, "year,A,B\n1990,0.01,0.02\n1991,0.03,0.01\n1992,0.02,0.02\n")
+        code, _, _ = run_cli(capsys, "sharpe", "--data", data, "--out", str(tmp_path))
+        assert code == 0
+        payload = json.loads((tmp_path / "sharpe_result.json").read_text())
+        assert payload["assets"] == ["A", "B"]
+        assert len(payload["weights"]) == 2
+
     def test_blank_asset_label_exit_4(self, capsys, tmp_path):
         data = write_csv(tmp_path, "A,,B\n0.01,0.02,0.03\n0.02,0.0,0.01\n")
         code, _, err = run_cli(capsys, "sharpe", "--data", data, "--out", str(tmp_path))

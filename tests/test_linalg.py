@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracopt.errors import InvalidMatrix, InvalidParameter, NoConvergence
+from fracopt.errors import DimensionError, InvalidMatrix, InvalidParameter, NoConvergence
 from fracopt.linalg import as_vector, dominant_eigenvalue
 
 
@@ -68,6 +68,35 @@ class TestDominantEigenvalue:
             expected = float(np.linalg.eigvalsh(m)[-1])
             got = dominant_eigenvalue(m, tol=1e-13, max_iter=200_000)
             assert got == pytest.approx(expected, rel=1e-8)
+
+    def test_read_only_input_read_in_place(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 5, 40):
+            a = random_psd(rng, n)
+            a.flags.writeable = False
+            before = a.tobytes()
+            got = dominant_eigenvalue(a, tol=1e-13, max_iter=200_000)
+            assert a.tobytes() == before
+            assert got == pytest.approx(float(np.linalg.eigvalsh(a)[-1]), rel=1e-8)
+
+    def test_read_only_input_errors(self):
+        def frozen(m):
+            a = np.array(m, dtype=float)
+            a.flags.writeable = False
+            return a
+
+        with pytest.raises(InvalidMatrix):
+            dominant_eigenvalue(frozen([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        with pytest.raises(InvalidMatrix):
+            dominant_eigenvalue(frozen([[1.0, 2.0], [2.1, 1.0]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidParameter):
+                dominant_eigenvalue(frozen([[1.0, bad], [bad, 1.0]]))
+        with pytest.raises(InvalidParameter):
+            dominant_eigenvalue(frozen(np.eye(2)), tol=0.0)
+        for shape in ((3,), (2, 2, 2), (0, 0)):
+            with pytest.raises(DimensionError):
+                dominant_eigenvalue(frozen(np.ones(shape)))
 
     def test_rayleigh_lower_bound(self):
         rng = np.random.default_rng(11)

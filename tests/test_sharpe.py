@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,16 @@ class TestBuildModel:
                 w = random_simplex_point(rng, model.n_assets)
                 assert problem.eval_g(w) >= floor - 1e-12
 
+    def test_gram_matches_the_direct_formula_bit_for_bit(self):
+        rng = np.random.default_rng(67)
+        for _ in range(30):
+            t, n = int(rng.integers(2, 40)), int(rng.integers(1, 30))
+            values = rng.normal(0.005, 0.04, (t, n))
+            model = build_sharpe_model(returns_matrix(values), 1e-4)
+            q = (values - values.mean(axis=0)) / np.sqrt(t - 1.0)
+            expected = q.T @ q + 1e-4 * np.eye(n)
+            assert model.q_eps.tobytes() == expected.tobytes()
+
     def test_zero_mean_degenerate(self):
         with pytest.raises(DegenerateModel):
             build_sharpe_model(returns_matrix([[0.1], [-0.1]]), 1e-4)
@@ -126,6 +138,14 @@ class TestObjective:
         model = build_sharpe_model(constant_returns([0.1, 0.2], 4), 1e-4)
         with pytest.raises(InvalidParameter, match="w has length 3"):
             sharpe_objective(model, [0.2, 0.3, 0.5])
+
+    def test_objective_is_the_reported_sharpe_exactly(self):
+        # one spelling of S(w): the objective goes through the solver's oracle
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            model = random_model(rng)
+            res = srm_pga(model)
+            assert sharpe_objective(model, res.weights) == res.sharpe
 
     def test_problem_denominator_undefined_at_origin(self):
         # w.Q_eps.w = 0 at the origin: eval_g refuses it itself instead of
@@ -207,6 +227,31 @@ class TestGradients:
             assert np.linalg.norm(problem.grad_g(w) - fd) <= 1e-5 * max(
                 1.0, np.linalg.norm(fd)
             )
+
+    def test_denominator_gradient_reads_the_point_not_the_array(self):
+        # grad_g reuses the Q.w of eval_g only at the point eval_g saw, even
+        # when the same array now holds another point
+        rng = np.random.default_rng(107)
+        model = random_model(rng, t=15, n=6)
+        problem = sharpe_problem(model)
+        for _ in range(20):
+            w = random_simplex_point(rng, 6)
+            problem.eval_g(w)
+            w[:] = random_simplex_point(rng, 6)
+            assert np.array_equal(problem.grad_g(w), sharpe_problem(model).grad_g(w))
+
+    def test_denominator_gradient_at_an_unevaluated_point(self):
+        rng = np.random.default_rng(109)
+        model = random_model(rng, t=15, n=6)
+        problem = sharpe_problem(model)
+        problem.eval_g(random_simplex_point(rng, 6))
+        for _ in range(20):
+            w = random_simplex_point(rng, 6)
+            qw = model.q_eps.dot(w)
+            assert np.array_equal(problem.grad_g(w), qw / math.sqrt(w.dot(qw)))
+            # and at the point eval_g saw last
+            problem.eval_g(w)
+            assert np.array_equal(problem.grad_g(w.copy()), qw / math.sqrt(w.dot(qw)))
 
     def test_denominator_gradient_lipschitz_bound(self):
         rng = np.random.default_rng(103)
