@@ -79,7 +79,8 @@ def load_returns_csv(path, unit=ReturnsUnit.DECIMAL):
     index column pandas writes), when its first data cell is not a number,
     or when other columns follow and every cell in it is an integer, in
     strictly increasing order (years, yyyymmdd dates, period indices). Percent
-    input is divided by 100; the returned matrix is always decimal.
+    input is divided by 100; the returned matrix is always decimal. The file
+    is read as UTF-8; a leading byte-order mark is skipped.
     Undecodable bytes, a malformed CSV line or a blank asset label raise
     ParseError; a non-numeric or NaN cell raises ParseError with its 1-based
     row/column; fewer than two data rows raises InsufficientData. The unit
@@ -88,7 +89,8 @@ def load_returns_csv(path, unit=ReturnsUnit.DECIMAL):
     """
     unit = ReturnsUnit(unit)
     try:
-        with open(path, newline="") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheets' CSV UTF-8 export writes
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: not a readable CSV text file ({exc})") from exc

@@ -177,11 +177,9 @@ def build_parser():
 
     p1 = sub.add_parser("sim1", help="ratio of a linear form to the norm on the 2-simplex")
     p1.add_argument("--p", required=True, help="direction vector, e.g. '2,-1'")
-    p1.set_defaults(func=cmd_sim1)
     p2 = sub.add_parser("sim2", help="diagonal quadratic ratio on an unbounded band")
     p2.add_argument("--a0", type=float, required=True, help="band half-width")
     p2.add_argument("--a", required=True, help="six coefficients 'a1,a2,a3,a4,a5,a6'")
-    p2.set_defaults(func=cmd_sim2)
     # sim2's tol is tighter than sim1's: the flat optimal segment needs it for
     # the first coordinate to reach 4-decimal zero before the step test fires
     for p, x0, tol in ((p1, "0.5,0.5", 1e-5), (p2, "50,50", 1e-7)):
@@ -193,9 +191,7 @@ def build_parser():
         p.add_argument("--out", default=".", help="output directory")
 
     ps = sub.add_parser("sharpe", help="optimize portfolio weights from a returns CSV")
-    ps.set_defaults(func=cmd_sharpe)
     pb = sub.add_parser("backtest", help="moving-window backtest of a strategy")
-    pb.set_defaults(func=cmd_backtest)
     for p in (ps, pb):
         p.add_argument("--data", required=True, help="returns CSV path")
         p.add_argument("--unit", choices=[u.value for u in bt.ReturnsUnit], default="decimal")
@@ -225,16 +221,25 @@ def _merge_vector_flags(argv):
     return merged
 
 
+# main's parser, built on the first call: parsing leaves no state in it, and
+# building it costs more than a whole sim1 solve
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_merge_vector_flags(list(argv)))
+        args = _parser.parse_args(_merge_vector_flags(list(argv)))
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    # looked up at call time, so the cached parser holds no handler
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except InvalidParameter as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -232,8 +232,9 @@ def _check_start(problem, x0):
 
 
 def _project_update(projection, step_dir, k):
-    # a NaN or Inf anywhere makes the sum non-finite
-    if not math.isfinite(float(step_dir.sum())):
+    # a NaN or Inf anywhere makes the sum non-finite; np.add.reduce is the
+    # reduction ndarray.sum wraps
+    if not math.isfinite(np.add.reduce(step_dir)):
         raise NumericalBreakdown(f"non-finite update at iteration {k}")
     return projection(step_dir)
 

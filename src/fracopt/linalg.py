@@ -68,13 +68,15 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=10_000):
     if not np.array_equal(a, a.T) and float(np.max(np.abs(a - a.T))) > _SYMMETRY_RTOL * scale:
         raise InvalidMatrix("matrix asymmetry exceeds 1e-10 relative")
 
+    # sqrt(w.w) is np.linalg.norm's own formula for a real 1-d vector
     v = np.arange(1.0, n + 1.0)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v.dot(v))
+    tiny = np.finfo(float).tiny
     lam = None
     restarts = 0
     for _ in range(max_iter):
         w = a @ v
-        wn = np.linalg.norm(w)
+        wn = math.sqrt(w.dot(w))
         if wn == 0.0:
             # v fell in the nullspace; restart from the next basis vector
             if restarts >= n:
@@ -84,7 +86,7 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=10_000):
             restarts += 1
             continue
         lam_new = float(v @ w)
-        if lam is not None and abs(lam_new - lam) <= tol * max(abs(lam_new), np.finfo(float).tiny):
+        if lam is not None and abs(lam_new - lam) <= tol * max(abs(lam_new), tiny):
             return lam_new
         lam = lam_new
         v = w / wn

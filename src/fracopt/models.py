@@ -96,11 +96,13 @@ class Sim2Params:
 
 def build_sim2(params):
     """Problem for the diagonal-quadratic ratio on the band; step bound 1/(2 max(a1,a2))."""
-    a1, a2, a3 = params.a1, params.a2, params.a3
-    a4, a5, a6 = params.a4, params.a5, params.a6
+    a1, a2, a3, a4, a5, a6 = _sim2_coefficients(params)
+    # the gradient factors 2*a_i, formed once
+    d1, d2, d4, d5 = 2.0 * a1, 2.0 * a2, 2.0 * a4, 2.0 * a5
 
-    # diagonal quadratics expanded in coordinates: cheaper than matmuls on
-    # 2-vectors and this path runs every solver iteration
+    # diagonal quadratics expanded in coordinates on Python floats: cheaper
+    # than matmuls on 2-vectors and this path runs every solver iteration;
+    # sim2_is_global evaluates the same expressions
     def eval_f(x):
         x0, x1 = float(x[0]), float(x[1])
         return a1 * x0 * x0 + a2 * x1 * x1 + a3
@@ -110,10 +112,10 @@ def build_sim2(params):
         return a4 * x0 * x0 + a5 * x1 * x1 + a6
 
     def grad_f(x):
-        return np.array([2.0 * a1 * x[0], 2.0 * a2 * x[1]])
+        return np.array([d1 * float(x[0]), d2 * float(x[1])])
 
     def grad_g(x):
-        return np.array([2.0 * a4 * x[0], 2.0 * a5 * x[1]])
+        return np.array([d4 * float(x[0]), d5 * float(x[1])])
 
     return FractionalProblem(
         eval_f=eval_f,
@@ -128,6 +130,12 @@ def build_sim2(params):
     )
 
 
+def _sim2_coefficients(params):
+    """a1..a6 as Python floats: the same values, multiplied without numpy's scalar dispatch."""
+    a = params
+    return float(a.a1), float(a.a2), float(a.a3), float(a.a4), float(a.a5), float(a.a6)
+
+
 def sim2_minimum_value(params):
     """Global minimum of the band ratio problem."""
     return params.a2 / params.a5
@@ -138,8 +146,12 @@ def sim2_is_global(params, x, tol):
     x = as_vector(x)
     if abs(x[0]) > tol or abs(x[1]) > params.a0 + tol:
         return False
-    problem = build_sim2(params)
-    return abs(problem.ratio(x) - sim2_minimum_value(params)) <= tol
+    # build_sim2's f and g, without building the problem
+    a1, a2, a3, a4, a5, a6 = _sim2_coefficients(params)
+    x0, x1 = float(x[0]), float(x[1])
+    f = a1 * x0 * x0 + a2 * x1 * x1 + a3
+    g = a4 * x0 * x0 + a5 * x1 * x1 + a6
+    return abs(f / g - sim2_minimum_value(params)) <= tol
 
 
 def sim2_gradient_oracle(params, x):

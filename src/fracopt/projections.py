@@ -39,22 +39,40 @@ def project_simplex(x):
     u = x.copy()
     u.sort()
     u = u[::-1]
-    css = u.cumsum()
+    # the accumulate that ndarray.cumsum wraps, without the wrapper
+    css = np.add.accumulate(u)
     # a NaN or Inf entry makes the total non-finite; finite entries whose
     # total overflows are left to the support test below
     if not math.isfinite(css[-1]) and not np.all(np.isfinite(x)):
         raise InvalidParameter("vector entries must be finite (no NaN/Inf)")
-    j = np.arange(1, n + 1)
-    # strict > per the support rule; j=1 qualifies since u[0]-(u[0]-1)=1,
-    # unless u[0] is so large (about 1e16 and up) that u[0]-1 rounds to u[0]
-    positive = u - (css - 1.0) / j > 0
+    # t[j-1] = (css[j-1] - 1)/j, the threshold of support size j; the strict
+    # u > t is the support rule u - t > 0 for every IEEE double, inf and NaN
+    # included. j=1 qualifies since u[0] - 1 < u[0], unless u[0] is so large
+    # (about 1e16 and up) that u[0]-1 rounds to u[0]
+    t = css - 1.0
+    t /= _ramp(n)
+    positive = u > t
     jp = n - int(positive[::-1].argmax())
     if not positive[jp - 1]:
         raise NumericalBreakdown(
             f"simplex projection lost precision: no support size qualifies (max entry {u[0]})"
         )
-    theta = (css[jp - 1] - 1.0) / jp
-    return np.maximum(x - theta, 0.0)
+    y = x - t[jp - 1]
+    return np.maximum(y, 0.0, out=y)
+
+
+# the ramp 1.0, 2.0, ..., n of the longest vector projected so far; shorter
+# ones read a prefix of it
+_RAMP = np.arange(1.0, 1.0)
+
+
+def _ramp(n):
+    global _RAMP
+    # read once: a concurrent call may swap in a shorter ramp meanwhile
+    ramp = _RAMP
+    if ramp.shape[0] < n:
+        ramp = _RAMP = np.arange(1.0, n + 1.0)
+    return ramp[:n]
 
 
 def band_projector(a0):

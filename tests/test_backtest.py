@@ -88,6 +88,30 @@ class TestLoader:
         with pytest.raises(ParseError, match="returns.csv"):
             load_returns_csv(str(path))
 
+    def test_byte_order_mark_before_plain_header(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a byte-order mark
+        path = tmp_path / "returns.csv"
+        path.write_bytes(b"\xef\xbb\xbfA,B\n0.01,0.02\n0.03,-0.01\n0.02,0.01\n")
+        r = load_returns_csv(str(path))
+        assert r.asset_labels == ("A", "B")
+        assert r.period_labels is None
+        assert np.array_equal(r.values, [[0.01, 0.02], [0.03, -0.01], [0.02, 0.01]])
+
+    def test_byte_order_mark_before_blank_index_header(self, tmp_path):
+        # the index cells are not increasing, so only the blank header marks them
+        path = tmp_path / "returns.csv"
+        path.write_bytes(b"\xef\xbb\xbf,A,B\n2,0.01,0.02\n0,0.03,0.04\n1,0.05,0.06\n")
+        r = load_returns_csv(str(path))
+        assert r.asset_labels == ("A", "B")
+        assert r.period_labels == ("2", "0", "1")
+        assert np.array_equal(r.values, [[0.01, 0.02], [0.03, 0.04], [0.05, 0.06]])
+
+    def test_undecodable_bytes_after_byte_order_mark_rejected(self, tmp_path):
+        path = tmp_path / "returns.csv"
+        path.write_bytes(b"\xef\xbb\xbfA,B\n0.01,\xff\xfe\n0.02,0.0\n")
+        with pytest.raises(ParseError, match="returns.csv"):
+            load_returns_csv(str(path))
+
     def test_pandas_index_column(self, tmp_path):
         # DataFrame.to_csv() writes the row index under a blank header cell
         path = write_csv(tmp_path, ",A,B\n0,0.01,0.02\n1,0.03,0.04\n2,0.05,0.06\n")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fracopt.backtest
+import fracopt.cli
 from fracopt.backtest import compute_sharpe
 from fracopt.cli import main
 from fracopt.core import PgaConfig
@@ -149,6 +150,64 @@ class TestSimCommands:
         assert err.startswith("error: alpha = ")
 
 
+
+class TestCachedParser:
+    """main parses with one parser per process; no call leaves state for the next."""
+
+    def test_trace_flag_does_not_carry_over(self, capsys, tmp_path):
+        traced, plain = tmp_path / "d1", tmp_path / "d2"
+        traced.mkdir()
+        plain.mkdir()
+        code, _, _ = run_cli(capsys, *SIM_ARGV["sim1"], "--trace", "--out", str(traced))
+        assert code == 0
+        assert [p.name for p in traced.iterdir()] == ["sim1_trace.csv"]
+        code, out, _ = run_cli(capsys, *SIM_ARGV["sim1"], "--out", str(plain))
+        assert code == 0
+        assert "trace written:" not in out
+        assert list(plain.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["sim1"], ["sim2", "--a0", "wide", "--a", "4,2,3,3,2,3"], ["sim1", "--p", "2,-1", "-z"]],
+        ids=["missing-flag", "bad-type", "unknown-flag"],
+    )
+    def test_usage_error_then_valid_call(self, capsys, monkeypatch, bad):
+        # a parser built for this call alone gives the first-call output
+        monkeypatch.setattr(fracopt.cli, "_parser", None)
+        first = run_cli(capsys, *SIM_ARGV["sim1"])
+        code, out, err = run_cli(capsys, *bad)
+        assert code == 2
+        assert out == "" and err.startswith("usage: fracopt")
+        assert run_cli(capsys, *SIM_ARGV["sim1"]) == first
+        assert first[0] == 0
+
+    def test_each_command_gets_its_own_defaults(self, capsys, monkeypatch):
+        seen = []
+
+        def recording_solve(problem, x0, cfg):
+            seen.append((cfg.tol, tuple(x0)))
+            return solve(problem, x0, cfg)
+
+        solve = fracopt.cli.pga_solve
+        monkeypatch.setattr(fracopt.cli, "pga_solve", recording_solve)
+        for command in ("sim1", "sim2", "sim1", "sim2"):
+            code, _, _ = run_cli(capsys, *SIM_ARGV[command])
+            assert code == 0
+        sim1, sim2 = (1e-5, (0.5, 0.5)), (1e-7, (50.0, 50.0))
+        assert seen == [sim1, sim2, sim1, sim2]
+
+    def test_handler_is_looked_up_when_called(self, capsys, monkeypatch):
+        assert run_cli(capsys, *SIM_ARGV["sim1"])[0] == 0  # the parser is built
+        calls = []
+
+        def handler(args):
+            calls.append(args.p)
+            return 7
+
+        monkeypatch.setattr(fracopt.cli, "cmd_sim1", handler)
+        assert run_cli(capsys, *SIM_ARGV["sim1"]) == (7, "", "")
+        assert calls == ["2,-1"]
+
 class TestSharpeCommand:
     def test_constant_returns_pick_higher_mean(self, capsys, tmp_path):
         # one losing asset: the optimum is all-in on the profitable one
@@ -221,6 +280,16 @@ class TestSharpeCommand:
         assert code == 0
         payload = json.loads((tmp_path / "sharpe_result.json").read_text())
         assert payload["assets"] == ["HIGH", "LOW"]
+
+    def test_byte_order_mark_stays_out_of_the_asset_labels(self, capsys, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a byte-order mark
+        data = tmp_path / "returns.csv"
+        data.write_bytes(b"\xef\xbb\xbfA,B\n0.01,0.02\n0.03,-0.01\n0.02,0.01\n")
+        code, out, _ = run_cli(capsys, "sharpe", "--data", str(data), "--out", str(tmp_path))
+        assert code == 0
+        assert "\ufeff" not in out
+        payload = json.loads((tmp_path / "sharpe_result.json").read_text())
+        assert payload["assets"] == ["A", "B"]
 
     def test_named_year_column_is_not_an_asset(self, capsys, tmp_path):
         data = write_csv(tmp_path, "year,A,B\n1990,0.01,0.02\n1991,0.03,0.01\n1992,0.02,0.02\n")

@@ -10,6 +10,32 @@ def random_psd(rng, n):
     return m @ m.T
 
 
+def frozen_power_sweep(a, tol=1e-10, max_iter=10_000):
+    """dominant_eigenvalue's sweep as it stood with np.linalg.norm in the
+    loop, for a valid nonzero symmetric matrix. Kept as the byte reference."""
+    n = a.shape[0]
+    v = np.arange(1.0, n + 1.0)
+    v /= np.linalg.norm(v)
+    lam = None
+    restarts = 0
+    for _ in range(max_iter):
+        w = a @ v
+        wn = np.linalg.norm(w)
+        if wn == 0.0:
+            if restarts >= n:
+                return 0.0
+            v = np.zeros(n)
+            v[restarts] = 1.0
+            restarts += 1
+            continue
+        lam_new = float(v @ w)
+        if lam is not None and abs(lam_new - lam) <= tol * max(abs(lam_new), np.finfo(float).tiny):
+            return lam_new
+        lam = lam_new
+        v = w / wn
+    raise NoConvergence(f"power iteration did not converge in {max_iter} sweeps")
+
+
 class TestDominantEigenvalue:
     def test_diagonal(self):
         assert dominant_eigenvalue(np.diag([3.0, 1.0])) == pytest.approx(3.0, rel=1e-10)
@@ -108,6 +134,29 @@ class TestDominantEigenvalue:
                 v = rng.normal(size=n)
                 rq = (v @ m @ v) / (v @ v)
                 assert lam >= rq - 1e-8 * max(1.0, abs(rq))
+
+    def test_sweep_matches_the_frozen_loop_byte_for_byte(self):
+        rng = np.random.default_rng(19)
+        matrices = []
+        for n in (1, 2, 3, 10, 40):
+            for scale in (1e-150, 1e-4, 1.0, 1e100):
+                matrices.append(scale * random_psd(rng, n))
+                # rank one and rank deficient
+                b = rng.normal(size=(n, max(1, n // 3)))
+                matrices.append(scale * (b @ b.T))
+        # the ramp start lies in the nullspace of u u^T for u = (2, -1, 0):
+        # the first sweep restarts from the first basis vector
+        u = np.array([2.0, -1.0, 0.0])
+        restart = np.outer(u, u)
+        assert not np.any(restart @ np.arange(1.0, 4.0))
+        matrices.append(restart)
+        matrices.append(np.outer(u, u) * 1e-3)
+        for m in matrices:
+            for tol in (1e-10, 1e-13):
+                expected = frozen_power_sweep(m, tol, 200_000)
+                got = dominant_eigenvalue(m, tol, 200_000)
+                assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+        assert dominant_eigenvalue(restart) == pytest.approx(5.0, rel=1e-9)
 
 
 class TestDenseOps:

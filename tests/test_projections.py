@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,54 @@ class TestSimplex:
             assert np.allclose(project_simplex(np.full(n, 4.2)), np.full(n, 1.0 / n))
 
 
+def frozen_project_simplex(x):
+    """project_simplex before its allocations were cut, checks and messages
+    included: copy and sort, reverse, cumsum, the support test
+    u - (css - 1)/j > 0 on an integer ramp j, the last qualifying j by argmax,
+    the threshold (css[j'-1] - 1)/j', and a fresh clipped array. Kept as the
+    byte reference for :func:`project_simplex`."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DimensionError(f"expected a 1-d vector, got ndim={x.ndim}")
+    n = x.shape[0]
+    if n == 0:
+        raise DimensionError("cannot project an empty vector")
+    u = x.copy()
+    u.sort()
+    u = u[::-1]
+    css = u.cumsum()
+    if not math.isfinite(css[-1]) and not np.all(np.isfinite(x)):
+        raise InvalidParameter("vector entries must be finite (no NaN/Inf)")
+    j = np.arange(1, n + 1)
+    positive = u - (css - 1.0) / j > 0
+    jp = n - int(positive[::-1].argmax())
+    if not positive[jp - 1]:
+        raise NumericalBreakdown(
+            f"simplex projection lost precision: no support size qualifies (max entry {u[0]})"
+        )
+    theta = (css[jp - 1] - 1.0) / jp
+    return np.maximum(x - theta, 0.0)
+
+
+def frozen_reference_inputs(seed=43):
+    """Vectors of lengths 1, 2, 3, 8, 30, 100 and 400: spreads, ties, signed
+    zeros, magnitudes near 1e15, and points on the simplex."""
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3, 8, 30, 100, 400):
+        for _ in range(40):
+            yield rng.normal(size=n) * 10.0 ** rng.uniform(-8.0, 8.0)
+            # ties: a few distinct values
+            yield rng.integers(-2, 3, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            yield rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], n)
+            # near 1e15: the threshold still resolves, with little to spare
+            yield 1e15 * rng.uniform(0.5, 1.5) + rng.integers(-4, 5, n).astype(float)
+            yield rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(14.0, 15.5, n)
+        yield np.zeros(n)
+        yield -np.zeros(n)
+        yield np.full(n, 1.0 / n)
+        yield np.eye(n)[n // 2]
+
+
 class TestBitIdentity:
     def test_matches_reference_bit_for_bit(self):
         for x in bit_identity_inputs(2400):
@@ -116,6 +166,43 @@ class TestBitIdentity:
             assert np.array_equal(got, expected)
             # also tells -0.0 from 0.0
             assert got.tobytes() == expected.tobytes()
+
+    def test_matches_the_frozen_formula_byte_for_byte(self):
+        count = 0
+        for x in frozen_reference_inputs():
+            expected = frozen_project_simplex(x)
+            got = project_simplex(x)
+            assert got.dtype == np.float64
+            assert got.tobytes() == expected.tobytes()
+            count += 1
+        assert count == 7 * (5 * 40 + 4)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [1e16, 0.0],
+            [1e308, 1e308],
+            [1e17, 1e17, -1e17],
+            [0.1, np.nan],
+            [np.inf, 0.2],
+            [-np.inf, 0.3],
+            [np.inf, -np.inf],
+            [np.nan],
+            [],
+            [[1.0, 2.0]],
+        ],
+        ids=[
+            "1e16", "overflow", "1e17-ties", "nan", "+inf", "-inf", "inf-minus-inf",
+            "lone-nan", "empty", "2-d",
+        ],
+    )
+    def test_raises_as_the_frozen_formula_does(self, x):
+        with np.errstate(all="ignore"):
+            with pytest.raises(Exception) as expected:
+                frozen_project_simplex(x)
+            with pytest.raises(expected.type) as got:
+                project_simplex(x)
+        assert str(got.value) == str(expected.value)
 
 
 class TestValidation:
