@@ -13,7 +13,6 @@ import csv
 import enum
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,10 +23,10 @@ from .errors import (
     DegenerateSeries,
     FracoptError,
     InsufficientData,
-    InvalidParameter,
     ParseError,
     WealthWipeout,
 )
+from .linalg import integer, positive
 from .sharpe import ReturnsMatrix, build_sharpe_model, srm_pga
 
 
@@ -50,12 +49,8 @@ class BacktestConfig:
 
     def __post_init__(self):
         self.strategy = Strategy(self.strategy)
-        if not isinstance(self.window, numbers.Integral):
-            raise InvalidParameter(f"window must be an integer, got {self.window!r}")
-        if self.window < 2:
-            raise InvalidParameter(f"window must be >= 2, got {self.window}")
-        if not 0 < self.eps_hat < math.inf:
-            raise InvalidParameter(f"eps_hat must be positive and finite, got {self.eps_hat}")
+        integer("window", self.window, minimum=2)
+        positive("eps_hat", self.eps_hat)
 
 
 @dataclass

@@ -41,7 +41,6 @@ plain sweep bit for bit, with the ratios minus M.
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -53,7 +52,7 @@ from .errors import (
     PositivityViolation,
     ShiftViolation,
 )
-from .linalg import as_vector
+from .linalg import as_vector, integer, nonnegative, positive
 
 # Adaptive step: first trial step, Armijo constant of the ratio decrease test,
 # growth factor used when the last move shows no positive curvature, and the
@@ -101,10 +100,11 @@ class FractionalProblem:
     finish: Optional[Callable[[np.ndarray], Optional[np.ndarray]]] = None
 
     def __post_init__(self):
-        if not self.step_bound > 0:
-            raise InvalidParameter(f"step_bound must be positive, got {self.step_bound}")
-        if not isinstance(self.dimension, numbers.Integral) or self.dimension < 1:
-            raise InvalidParameter(f"dimension must be an integer >= 1, got {self.dimension!r}")
+        positive("step_bound", self.step_bound)
+        integer("dimension", self.dimension)
+        for name in ("lip_grad_f", "lip_grad_g"):
+            if getattr(self, name) is not None:
+                nonnegative(name, getattr(self, name))
 
     def ratio(self, x):
         """f(x)/g(x) with positivity and NaN checks."""
@@ -159,14 +159,10 @@ class PgaConfig:
     adaptive: bool = False
 
     def __post_init__(self):
-        if self.alpha is not None and not self.alpha > 0:
-            raise InvalidParameter(f"alpha must be positive, got {self.alpha}")
-        if not 0 < self.tol < math.inf:
-            raise InvalidParameter(f"tol must be positive and finite, got {self.tol}")
-        if not isinstance(self.max_iter, numbers.Integral):
-            raise InvalidParameter(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise InvalidParameter(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.alpha is not None:
+            positive("alpha", self.alpha)
+        positive("tol", self.tol)
+        integer("max_iter", self.max_iter)
 
 
 @dataclass
@@ -201,9 +197,8 @@ def fixed_point_residual(problem, x, alpha):
     Zero exactly at fixed points of the iteration map, which are the
     critical points of the constrained ratio.
     """
-    if not 0 < alpha < math.inf:
-        raise InvalidParameter(f"alpha must be positive and finite, got {alpha}")
-    x = _as_point(x, problem.dimension, "x")
+    positive("alpha", alpha)
+    x = as_vector(x, problem.dimension)
     c = problem.ratio(x)
     y = problem.projection(x - alpha * problem.grad_f(x) + alpha * c * problem.grad_g(x))
     return float(np.linalg.norm(x - y))
@@ -218,19 +213,6 @@ def _resolve_alpha(problem, cfg):
     return alpha
 
 
-def _as_point(x, dimension, name):
-    """x as a finite 1-d float vector of the given length."""
-    x = as_vector(x)
-    if x.shape[0] != dimension:
-        raise InvalidParameter(f"{name} has length {x.shape[0]}, problem dimension is {dimension}")
-    return x
-
-
-def _check_start(problem, x0):
-    # infeasible starts are totalized by one projection
-    return problem.projection(_as_point(x0, problem.dimension, "x0"))
-
-
 def _project_update(projection, step_dir, k):
     # a NaN or Inf anywhere makes the sum non-finite; np.add.reduce is the
     # reduction ndarray.sum wraps
@@ -242,7 +224,8 @@ def _project_update(projection, step_dir, k):
 def _run_pga(problem, x0, cfg):
     """The solver loop of both step rules."""
     alpha = _resolve_alpha(problem, cfg)
-    x = _check_start(problem, x0)
+    # infeasible starts are totalized by one projection
+    x = problem.projection(as_vector(x0, problem.dimension, "x0"))
     trace = SolveTrace() if cfg.record_trace else None
     adaptive = cfg.adaptive
     f_and_g = problem._f_and_g

@@ -8,11 +8,11 @@ cross-check of the proximal gradient path.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
-from .core import SolveResult, SolveTrace, Status, _check_start
+from .core import SolveResult, SolveTrace, Status
 from .errors import InnerSolverFailure, InvalidParameter, InvalidStart
+from .linalg import as_vector, integer, positive
 
 
 @dataclass
@@ -26,13 +26,10 @@ class DinkelbachConfig:
     record_trace: bool = False
 
     def __post_init__(self):
+        for name in ("outer_tol", "inner_tol"):
+            positive(name, getattr(self, name))
         for name in ("max_outer", "max_inner"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise InvalidParameter(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("outer_tol", "max_outer", "inner_tol", "max_inner"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise InvalidParameter(f"{name} must be positive and finite, got {value!r}")
+            integer(name, getattr(self, name))
 
 
 def _projected_gradient(problem, c, x, step, tol, max_iter):
@@ -69,7 +66,7 @@ def dinkelbach_solve(problem, x0, cfg=None):
         raise InvalidParameter(
             "dinkelbach_solve needs lip_grad_f and lip_grad_g on the problem"
         )
-    x = _check_start(problem, x0)
+    x = problem.projection(as_vector(x0, problem.dimension, "x0"))
     # f and g are evaluated once per visited point, with the checks of ratio
     fx, gx = problem._f_and_g(x)
     if fx > 0:

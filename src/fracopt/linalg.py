@@ -1,8 +1,9 @@
 """Input validation and dominant-eigenvalue estimation.
 
-All arithmetic is 64-bit floating point on numpy arrays. Vectors and
-matrices are validated on entry (finite, of the expected rank) and the
-routines never mutate their inputs. ``as_vector`` returns a copy;
+Every parameter and vector the package takes is checked on entry by
+``positive``, ``nonnegative``, ``integer`` or ``as_vector``, each raising
+InvalidParameter that names the input. All arithmetic is 64-bit floating
+point on numpy arrays, and the routines never mutate their inputs;
 ``dominant_eigenvalue`` reads its matrix in place, so a model build hands
 it the Gram matrix it has just formed without a second N x N array.
 """
@@ -17,13 +18,33 @@ from .errors import DimensionError, InvalidMatrix, InvalidParameter, NoConvergen
 _SYMMETRY_RTOL = 1e-10
 
 
-def as_vector(x):
-    """Coerce to a finite 1-d float64 array, copying the input."""
+def positive(name, value):
+    """Check that ``value`` is positive and finite."""
+    if not 0 < value < math.inf:
+        raise InvalidParameter(f"{name} must be positive and finite, got {value}")
+
+
+def nonnegative(name, value):
+    """Check that ``value`` is nonnegative and finite."""
+    if not 0 <= value < math.inf:
+        raise InvalidParameter(f"{name} must be nonnegative and finite, got {value}")
+
+
+def integer(name, value, minimum=1):
+    """Check that ``value`` is an integer of at least ``minimum``."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidParameter(f"{name} must be an integer >= {minimum}, got {value}")
+
+
+def as_vector(x, length=None, name="x"):
+    """Coerce to a finite 1-d float64 array (of ``length`` entries if given), copying the input."""
     v = np.array(x, dtype=float)
     if v.ndim != 1:
         raise DimensionError(f"expected a 1-d vector, got ndim={v.ndim}")
     if not np.all(np.isfinite(v)):
         raise InvalidParameter("vector entries must be finite (no NaN/Inf)")
+    if length is not None and v.shape[0] != length:
+        raise InvalidParameter(f"{name} has length {v.shape[0]}, expected {length}")
     return v
 
 
@@ -38,8 +59,9 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=10_000):
     A.v normalized; the iteration stops when the quotient changes by at most
     ``tol`` relative between sweeps.
 
-    The input is read in place, never copied or written. Raises
-    DimensionError for input that is not a non-empty 2-d array,
+    The input is read in place and never written; with its largest entry
+    outside (2**-400, 2**400), the sweep runs on a copy scaled by a power of
+    two. Raises DimensionError for input that is not a non-empty 2-d array,
     InvalidParameter for NaN or Inf entries, InvalidMatrix for non-square or
     asymmetric input (beyond 1e-10 relative asymmetry), InvalidParameter
     unless ``tol`` is positive and finite and ``max_iter`` is an integer
@@ -59,14 +81,18 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=10_000):
     n, ncols = a.shape
     if n != ncols:
         raise InvalidMatrix(f"matrix is {n}x{ncols}, not square")
-    if not 0 < tol < math.inf:
-        raise InvalidParameter(f"tol must be positive and finite, got {tol}")
-    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise InvalidParameter(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    positive("tol", tol)
+    integer("max_iter", max_iter)
     if scale == 0.0:
         return 0.0  # zero matrix: valid PSD edge case
     if not np.array_equal(a, a.T) and float(np.max(np.abs(a - a.T))) > _SYMMETRY_RTOL * scale:
         raise InvalidMatrix("matrix asymmetry exceeds 1e-10 relative")
+    # sweep 2**-e * A, where w.w neither over- nor underflows; scaling by a
+    # power of two is exact, so lambda is the plain sweep's where that is in range
+    e = 0
+    if not 2.0**-400 < scale < 2.0**400:
+        e = math.frexp(scale)[1]
+        a = np.ldexp(a, -e)
 
     # sqrt(w.w) is np.linalg.norm's own formula for a real 1-d vector
     v = np.arange(1.0, n + 1.0)
@@ -87,7 +113,7 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=10_000):
             continue
         lam_new = float(v @ w)
         if lam is not None and abs(lam_new - lam) <= tol * max(abs(lam_new), tiny):
-            return lam_new
+            return math.ldexp(lam_new, e)
         lam = lam_new
         v = w / wn
     raise NoConvergence(f"power iteration did not converge in {max_iter} sweeps")

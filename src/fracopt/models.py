@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import FractionalProblem
 from .errors import InvalidParameter
-from .linalg import as_vector
+from .linalg import as_vector, positive
 from .projections import band_projector
 from .sharpe import SharpeModel, sharpe_problem
 
@@ -31,9 +31,7 @@ class Sim1Params:
     p: np.ndarray
 
     def __post_init__(self):
-        p = as_vector(self.p)
-        if p.shape[0] != 2:
-            raise InvalidParameter("p must have exactly 2 components")
+        p = as_vector(self.p, 2, "p")
         if p[0] == 0 or p[1] == 0 or p[0] + p[1] == 0 or p[0] == p[1]:
             raise InvalidParameter(
                 "need p1 != 0, p2 != 0, p1 + p2 != 0 and p1 != p2"
@@ -68,7 +66,7 @@ def sim1_shift_bound(params):
 
 @dataclass(frozen=True)
 class Sim2Params:
-    """Band half-width a0 and six positive coefficients a1..a6.
+    """Band half-width a0 > 0 (inf: the whole plane) and six positive, finite a1..a6.
 
     Requires a1*a5 > a2*a4 and a3*a5 = a2*a6 (within 1e-12 relative); these
     make the minimizer set the whole segment {x1 = 0} inside the band.
@@ -83,9 +81,10 @@ class Sim2Params:
     a6: float
 
     def __post_init__(self):
-        vals = (self.a0, self.a1, self.a2, self.a3, self.a4, self.a5, self.a6)
-        if any(not v > 0 for v in vals):
-            raise InvalidParameter("all coefficients must be positive")
+        if not self.a0 > 0:
+            raise InvalidParameter(f"a0 must be positive, got {self.a0}")
+        for name in ("a1", "a2", "a3", "a4", "a5", "a6"):
+            positive(name, getattr(self, name))
         if not self.a1 * self.a5 > self.a2 * self.a4:
             raise InvalidParameter(
                 f"need a1*a5 > a2*a4, got {self.a1 * self.a5} <= {self.a2 * self.a4}"

@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FractionalProblem, PgaConfig, SolveResult, _as_point, pga_solve
+from .core import FractionalProblem, PgaConfig, SolveResult, pga_solve
 from .errors import (
     DegenerateModel,
     DimensionError,
@@ -50,7 +50,7 @@ from .errors import (
     InvalidParameter,
     NumericalBreakdown,
 )
-from .linalg import dominant_eigenvalue
+from .linalg import as_vector, dominant_eigenvalue, positive
 from .projections import project_simplex
 
 _EIG_TOL = 1e-8
@@ -129,8 +129,7 @@ def build_sharpe_model(r, eps_hat=1e-4):
     formula. Raises DegenerateModel when every asset has zero mean return
     (the step bound is undefined there).
     """
-    if not 0 < eps_hat < math.inf:
-        raise InvalidParameter(f"eps_hat must be positive and finite, got {eps_hat}")
+    positive("eps_hat", eps_hat)
     values = r.values
     t, n = values.shape
     p = values.mean(axis=0)
@@ -152,7 +151,7 @@ def sharpe_objective(model, w):
     Computed by the oracle of :func:`sharpe_problem`, so at ``srm_pga``'s
     weights it equals the reported ``sharpe`` exactly.
     """
-    w = _as_point(w, model.n_assets, "w")
+    w = as_vector(w, model.n_assets, "w")
     if not w.any():
         raise InvalidParameter("the Sharpe ratio is undefined at w = 0")
     return -sharpe_problem(model).ratio(w)

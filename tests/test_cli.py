@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,15 @@ class TestSim2Command:
     def test_condition_violation_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "sim2", "--a0", "100", "--a", "1,2,3,3,1,3")
         assert code == 2
+
+    def test_infinite_coefficient_exits_2(self, capsys):
+        # rejected before any arithmetic on it: no warning and no solve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sim2", "--a0", "100", "--a", "4,2,inf,3,2,inf")
+        assert code == 2
+        assert out == ""
+        assert err == "error: a3 must be positive and finite, got inf\n"
 
     def test_output_lines_in_order(self, capsys):
         code, out, err = run_cli(capsys, *SIM_ARGV["sim2"])

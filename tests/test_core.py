@@ -256,6 +256,12 @@ class TestErrorPaths:
         with pytest.raises(InvalidParameter, match="tol"):
             PgaConfig(tol=float("inf"))
 
+    def test_infinite_step_and_alpha_rejected_at_construction(self):
+        with pytest.raises(InvalidParameter, match="step_bound must be positive and finite"):
+            identity_problem(None, None, None, None, step_bound=float("inf"))
+        with pytest.raises(InvalidParameter, match="alpha must be positive and finite"):
+            PgaConfig(alpha=float("inf"))
+
     def test_dimension_must_be_a_positive_integer(self):
         for dim in (2.5, float("nan"), 2.0, 0):
             with pytest.raises(InvalidParameter):

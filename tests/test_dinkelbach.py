@@ -77,6 +77,17 @@ class TestParametricSolver:
         with pytest.raises(InvalidParameter):
             dinkelbach_solve(bare, [0.5, 0.5])
 
+    def test_lipschitz_constants_nonnegative_and_finite(self):
+        # an infinite lip_grad_g makes every inner step zero, so the first
+        # outer test passes at the start: (1, 0) with ratio -2 reported as
+        # converged, where the optimum is (2/3, 1/3) with ratio -sqrt(5)
+        problem = build_sim1(SIM1_B)
+        assert problem.lip_grad_f == 0.0  # a linear numerator is valid
+        for name in ("lip_grad_f", "lip_grad_g"):
+            for bad in (float("inf"), float("nan"), -1.0):
+                with pytest.raises(InvalidParameter, match=f"{name} must be nonnegative"):
+                    dataclasses.replace(problem, **{name: bad})
+
     def test_config_validation(self):
         with pytest.raises(InvalidParameter):
             DinkelbachConfig(outer_tol=0.0)

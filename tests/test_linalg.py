@@ -1,8 +1,11 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from fracopt.errors import DimensionError, InvalidMatrix, InvalidParameter, NoConvergence
-from fracopt.linalg import as_vector, dominant_eigenvalue
+from fracopt.linalg import as_vector, dominant_eigenvalue, integer, nonnegative, positive
 
 
 def random_psd(rng, n):
@@ -158,6 +161,22 @@ class TestDominantEigenvalue:
                 assert np.float64(got).tobytes() == np.float64(expected).tobytes()
         assert dominant_eigenvalue(restart) == pytest.approx(5.0, rel=1e-9)
 
+    @pytest.mark.parametrize("exponent", [-1000, -532, 532, 996])
+    def test_extreme_scales(self, exponent):
+        # w.w over- or underflows in a plain sweep at 2**exponent (about
+        # 1e-301, 1e-160, 1e160 and 7e299); the sweep on the power-of-two
+        # rescaled matrix is the unscaled sweep scaled, bit for bit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for diag in ([3.0, 1.0, 2.0], [1.0, 1.0, 1.0], [1e-300, 2.0, 1e-300]):
+                m = np.diag(diag)
+                got = dominant_eigenvalue(np.ldexp(m, exponent))
+                assert got == math.ldexp(dominant_eigenvalue(m), exponent)
+                assert got == pytest.approx(math.ldexp(max(diag), exponent), rel=1e-9)
+            for scale in (1e-300, 1e-160, 1e160, 1e300):
+                assert dominant_eigenvalue(scale * np.diag([3.0, 1.0, 2.0])) == pytest.approx(
+                    3.0 * scale, rel=1e-9
+                )
 
 class TestDenseOps:
     def test_nan_rejected_on_construction(self):
@@ -165,3 +184,38 @@ class TestDenseOps:
             as_vector([1.0, np.nan])
         with pytest.raises(InvalidParameter):
             dominant_eigenvalue([[np.inf, 0.0], [0.0, 1.0]])
+
+
+class TestValidators:
+    def test_positive(self):
+        for good in (1e-300, 1.0, np.float64(2.5), 3):
+            positive("a", good)
+        for bad in (0.0, -1.0, math.inf, -math.inf, math.nan, np.float64("inf")):
+            with pytest.raises(InvalidParameter, match="a must be positive and finite"):
+                positive("a", bad)
+        # str, not repr: numpy 2 spells np.float64(inf) in its repr
+        with pytest.raises(InvalidParameter, match="got inf$"):
+            positive("a", np.float64("inf"))
+
+    def test_nonnegative(self):
+        for good in (0.0, 0, 1e-300, 5.0):
+            nonnegative("lip", good)
+        for bad in (-1e-300, math.inf, math.nan):
+            with pytest.raises(InvalidParameter, match="lip must be nonnegative and finite"):
+                nonnegative("lip", bad)
+
+    def test_integer(self):
+        integer("n", 1)
+        integer("n", np.int64(2), minimum=2)
+        for bad, minimum in ((0, 1), (1, 2), (2.0, 1), (2.5, 1), (math.nan, 1), (True, 2)):
+            with pytest.raises(InvalidParameter, match=f"n must be an integer >= {minimum}"):
+                integer("n", bad, minimum)
+
+    def test_as_vector_length(self):
+        assert as_vector([1.0, 2.0], 2).tolist() == [1.0, 2.0]
+        with pytest.raises(InvalidParameter, match="w has length 3, expected 2"):
+            as_vector([1.0, 2.0, 3.0], 2, "w")
+        with pytest.raises(InvalidParameter, match="x has length 1, expected 2"):
+            as_vector([1.0], 2)
+        with pytest.raises(DimensionError):
+            as_vector([[1.0, 2.0]], 2)

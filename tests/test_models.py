@@ -130,6 +130,25 @@ class TestSim2:
         with pytest.raises(InvalidParameter):
             Sim2Params(100.0, -4.0, 2.0, -3.0, 3.0, 2.0, 3.0)
 
+    def test_infinite_coefficients_rejected(self):
+        valid = [4.0, 2.0, 3.0, 3.0, 2.0, 3.0]
+        for i in range(6):
+            coefficients = list(valid)
+            coefficients[i] = float("inf")
+            with pytest.raises(InvalidParameter, match=f"a{i + 1} must be positive and finite"):
+                Sim2Params(100.0, *coefficients)
+
+    def test_infinite_half_width_solves(self):
+        # the band is then the whole plane; from (50, 50) a band of
+        # half-width 100 never binds, so both solves take the same iterates
+        unbounded = Sim2Params(float("inf"), 4.0, 2.0, 3.0, 3.0, 2.0, 3.0)
+        cfg = PgaConfig(tol=1e-9, record_trace=True)
+        res = pga_solve(build_sim2(unbounded), [50.0, 50.0], cfg)
+        ref = pga_solve(build_sim2(BENCH_SIM2), [50.0, 50.0], cfg)
+        assert res.x_star.tobytes() == ref.x_star.tobytes()
+        assert res.iterations == ref.iterations and res.status is ref.status
+        assert sim2_is_global(unbounded, res.x_star, 1e-4)
+
     def test_evaluations(self):
         problem = build_sim2(BENCH_SIM2)
         x = np.array([50.0, 50.0])
