@@ -41,19 +41,19 @@ class ReturnsUnit(str, enum.Enum):
     PERCENT = "percent"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BacktestConfig:
     window: int = 20
     strategy: Strategy = Strategy.SRM_PGA
     eps_hat: float = 1e-4
 
     def __post_init__(self):
-        self.strategy = Strategy(self.strategy)
+        object.__setattr__(self, "strategy", Strategy(self.strategy))
         integer("window", self.window, minimum=2)
         positive("eps_hat", self.eps_hat)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BacktestReport:
     realized_returns: np.ndarray
     sharpe: float

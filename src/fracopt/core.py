@@ -41,7 +41,7 @@ plain sweep bit for bit, with the ratios minus M.
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -124,7 +124,7 @@ class FractionalProblem:
         return fx, gx
 
 
-@dataclass
+@dataclass(frozen=True)
 class PgaConfig:
     """Step rule, stopping rule, and trace switch for one solve.
 
@@ -165,7 +165,7 @@ class PgaConfig:
         integer("max_iter", self.max_iter)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveTrace:
     """Per-iteration history: aligned iterates x[k] and ratio values.
 
@@ -177,7 +177,7 @@ class SolveTrace:
     ratios: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveResult:
     x_star: np.ndarray
     ratio: float
@@ -350,11 +350,10 @@ def pga_solve_shifted(problem, shift, x0, cfg=None):
     if not math.isfinite(shift):
         raise InvalidParameter(f"shift must be finite, got {shift}")
     result = _run_pga(problem, x0, cfg or PgaConfig())
-    result.ratio -= shift
-    if result.ratio < -1e-10:
-        raise ShiftViolation(
-            f"shifted ratio {result.ratio} < 0: {shift} is not a lower bound of f/g"
-        )
-    if result.trace is not None:
-        result.trace.ratios = [c - shift for c in result.trace.ratios]
-    return result
+    ratio = result.ratio - shift
+    if ratio < -1e-10:
+        raise ShiftViolation(f"shifted ratio {ratio} < 0: {shift} is not a lower bound of f/g")
+    trace = result.trace
+    if trace is not None:
+        trace = SolveTrace(trace.iterates, [c - shift for c in trace.ratios])
+    return replace(result, ratio=ratio, trace=trace)

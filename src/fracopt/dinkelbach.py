@@ -15,7 +15,7 @@ from .errors import InnerSolverFailure, InvalidParameter, InvalidStart
 from .linalg import as_vector, integer, positive
 
 
-@dataclass
+@dataclass(frozen=True)
 class DinkelbachConfig:
     """Outer/inner tolerances and budgets for the parametric reference solver."""
 

@@ -31,8 +31,8 @@ def nonnegative(name, value):
 
 
 def integer(name, value, minimum=1):
-    """Check that ``value`` is an integer of at least ``minimum``."""
-    if not isinstance(value, numbers.Integral) or value < minimum:
+    """Check that ``value`` is an integer of at least ``minimum``; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise InvalidParameter(f"{name} must be an integer >= {minimum}, got {value}")
 
 

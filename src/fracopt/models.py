@@ -44,9 +44,7 @@ def build_sim1(params):
 
     The Sharpe form with means -p, Gram term I, unit regularizer and no face finish.
     """
-    step_bound = 1.0 / (4.0 * float(np.linalg.norm(params.p)))
-    model = SharpeModel(-params.p, np.eye(2), 1.0, 1.0, step_bound)
-    return replace(sharpe_problem(model), finish=None)
+    return replace(sharpe_problem(SharpeModel(-params.p, np.eye(2), 1.0, 1.0)), finish=None)
 
 
 def sim1_analytic_solution(params):
@@ -69,7 +67,7 @@ class Sim2Params:
     """Band half-width a0 > 0 (inf: the whole plane) and six positive, finite a1..a6.
 
     Requires a1*a5 > a2*a4 and a3*a5 = a2*a6 (within 1e-12 relative); these
-    make the minimizer set the whole segment {x1 = 0} inside the band.
+    make the minimizer set the whole segment {x1 = 0} inside the band. Stores Python floats.
     """
 
     a0: float
@@ -92,10 +90,13 @@ class Sim2Params:
         lhs, rhs = self.a3 * self.a5, self.a2 * self.a6
         if abs(lhs - rhs) > _COND_RTOL * max(abs(lhs), abs(rhs)):
             raise InvalidParameter(f"need a3*a5 = a2*a6, got {lhs} != {rhs}")
+        for name in ("a0", "a1", "a2", "a3", "a4", "a5", "a6"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+
 
 def build_sim2(params):
     """Problem for the diagonal-quadratic ratio on the band; step bound 1/(2 max(a1,a2))."""
-    a1, a2, a3, a4, a5, a6 = _sim2_coefficients(params)
+    a1, a2, a3, a4, a5, a6 = params.a1, params.a2, params.a3, params.a4, params.a5, params.a6
     # the gradient factors 2*a_i, formed once
     d1, d2, d4, d5 = 2.0 * a1, 2.0 * a2, 2.0 * a4, 2.0 * a5
 
@@ -129,12 +130,6 @@ def build_sim2(params):
     )
 
 
-def _sim2_coefficients(params):
-    """a1..a6 as Python floats: the same values, multiplied without numpy's scalar dispatch."""
-    a = params
-    return float(a.a1), float(a.a2), float(a.a3), float(a.a4), float(a.a5), float(a.a6)
-
-
 def sim2_minimum_value(params):
     """Global minimum of the band ratio problem."""
     return params.a2 / params.a5
@@ -146,10 +141,9 @@ def sim2_is_global(params, x, tol):
     if abs(x[0]) > tol or abs(x[1]) > params.a0 + tol:
         return False
     # build_sim2's f and g, without building the problem
-    a1, a2, a3, a4, a5, a6 = _sim2_coefficients(params)
     x0, x1 = float(x[0]), float(x[1])
-    f = a1 * x0 * x0 + a2 * x1 * x1 + a3
-    g = a4 * x0 * x0 + a5 * x1 * x1 + a6
+    f = params.a1 * x0 * x0 + params.a2 * x1 * x1 + params.a3
+    g = params.a4 * x0 * x0 + params.a5 * x1 * x1 + params.a6
     return abs(f / g - sim2_minimum_value(params)) <= tol
 
 

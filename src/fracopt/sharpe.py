@@ -37,7 +37,7 @@ trial point. ``sharpe_objective`` evaluates S(w) through that same oracle.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -58,10 +58,10 @@ _EIG_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ReturnsMatrix:
-    """T x N decimal simple returns with asset labels and optional period labels."""
+    """T x N decimal simple returns, asset labels (default A1..AN), optional period labels."""
 
     values: np.ndarray
-    asset_labels: tuple
+    asset_labels: Optional[tuple] = None
     period_labels: Optional[tuple] = None
 
     def __post_init__(self):
@@ -75,6 +75,8 @@ class ReturnsMatrix:
         if not np.all(np.isfinite(v)):
             raise InvalidParameter("returns must be finite")
         object.__setattr__(self, "values", v)
+        if self.asset_labels is None:
+            object.__setattr__(self, "asset_labels", [f"A{j + 1}" for j in range(v.shape[1])])
         object.__setattr__(self, "asset_labels", tuple(self.asset_labels))
         if len(self.asset_labels) != v.shape[1]:
             raise InvalidParameter(
@@ -92,23 +94,32 @@ class ReturnsMatrix:
         return self.values.shape[1]
 
 
-def returns_matrix(values, asset_labels=None, period_labels=None):
-    """Build a ReturnsMatrix, defaulting labels to A1..AN."""
-    v = np.asarray(values, dtype=float)
-    if asset_labels is None and v.ndim == 2:
-        asset_labels = [f"A{j + 1}" for j in range(v.shape[1])]
-    return ReturnsMatrix(v, asset_labels, period_labels)
+returns_matrix = ReturnsMatrix
 
 
 @dataclass(frozen=True)
 class SharpeModel:
-    """Assembled objective data: mean vector, regularized Gram matrix, step bound."""
+    """Assembled objective data and the step bound eps_hat / (2*N*lambda1*||p||) it derives.
+
+    InvalidParameter unless lambda1 is positive and finite; DegenerateModel when every mean
+    is zero or the bound is not positive and finite.
+    """
 
     p: np.ndarray
     q_eps: np.ndarray
     eps_hat: float
     lambda1: float
-    step_bound: float
+    step_bound: float = field(init=False)
+
+    def __post_init__(self):
+        positive("lambda1", self.lambda1)
+        p_norm = float(np.linalg.norm(self.p))
+        if p_norm == 0.0:
+            raise DegenerateModel("all-zero mean returns: step bound undefined")
+        step_bound = self.eps_hat / (2.0 * self.n_assets * self.lambda1 * p_norm)
+        if not 0.0 < step_bound < math.inf:
+            raise DegenerateModel(f"step bound {step_bound} is not positive and finite")
+        object.__setattr__(self, "step_bound", step_bound)
 
     @property
     def n_assets(self):
@@ -126,8 +137,8 @@ def build_sharpe_model(r, eps_hat=1e-4):
     p is the column mean of the returns; the demeaned, 1/sqrt(T-1)-scaled
     matrix forms the Gram term; eps_hat*I regularizes it. Both steps work in
     place on arrays the build allocates, with the rounding of the direct
-    formula. Raises DegenerateModel when every asset has zero mean return
-    (the step bound is undefined there).
+    formula. Raises DegenerateModel when :class:`SharpeModel` finds no
+    step bound.
     """
     positive("eps_hat", eps_hat)
     values = r.values
@@ -137,12 +148,7 @@ def build_sharpe_model(r, eps_hat=1e-4):
     q /= np.sqrt(t - 1.0)
     q_eps = q.T @ q
     q_eps.flat[:: n + 1] += eps_hat
-    lambda1 = dominant_eigenvalue(q_eps, tol=_EIG_TOL)
-    p_norm = float(np.linalg.norm(p))
-    if p_norm == 0.0:
-        raise DegenerateModel("all-zero mean returns: step bound undefined")
-    step_bound = eps_hat / (2.0 * n * lambda1 * p_norm)
-    return SharpeModel(p, q_eps, eps_hat, lambda1, step_bound)
+    return SharpeModel(p, q_eps, eps_hat, dominant_eigenvalue(q_eps, tol=_EIG_TOL))
 
 
 def sharpe_objective(model, w):
@@ -226,7 +232,7 @@ def sharpe_problem(model):
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SrmResult:
     """Optimized weights plus the achieved Sharpe value and optimality flag.
 

@@ -322,6 +322,15 @@ class TestSharpeCommand:
         assert code == 4
         assert "error: all-zero mean returns" in err
 
+    def test_overflowing_step_bound_exits_4(self, capsys, tmp_path):
+        # a data error, not a usage one: the step bound is derived from the returns
+        path = tmp_path / "huge.csv"
+        values = np.random.default_rng(0).normal(0.0, 1e150, (10, 3))
+        np.savetxt(path, values, delimiter=",", header="A,B,C", comments="")
+        code, _, err = run_cli(capsys, "sharpe", "--data", str(path), "--out", str(tmp_path))
+        assert code == 4
+        assert err == "error: step bound 0.0 is not positive and finite\n"
+
 
 class TestBacktestCommand:
     def test_equal_weight_sharpe_matches_row_means(self, capsys, tmp_path):

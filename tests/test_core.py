@@ -272,6 +272,13 @@ class TestErrorPaths:
         with pytest.raises(InvalidParameter):
             pga_solve(build_sim1(SIM1_A), [0.5, 0.25, 0.25])
 
+    def test_boolean_counts_rejected(self):
+        # True would otherwise run a one-iteration solve without a word
+        with pytest.raises(InvalidParameter, match="max_iter must be an integer"):
+            PgaConfig(max_iter=True)
+        with pytest.raises(InvalidParameter, match="dimension must be an integer"):
+            identity_problem(None, None, None, None, dim=True)
+
     def test_max_iter_must_be_integral(self):
         with pytest.raises(InvalidParameter):
             PgaConfig(max_iter=10.5)

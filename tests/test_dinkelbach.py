@@ -124,6 +124,11 @@ class TestParametricSolver:
             DinkelbachConfig(max_outer=10.5)
         assert DinkelbachConfig(max_outer=np.int64(5)).max_outer == 5
 
+    def test_boolean_counts_rejected(self):
+        for name in ("max_outer", "max_inner"):
+            with pytest.raises(InvalidParameter, match=f"{name} must be an integer"):
+                DinkelbachConfig(**{name: True})
+
     def test_wrong_start_dimension(self):
         with pytest.raises(InvalidParameter):
             dinkelbach_solve(build_sim1(SIM1_A), [0.2, 0.3, 0.5])

@@ -211,6 +211,13 @@ class TestValidators:
             with pytest.raises(InvalidParameter, match=f"n must be an integer >= {minimum}"):
                 integer("n", bad, minimum)
 
+    def test_integer_rejects_booleans(self):
+        # bool is a numbers.Integral, so True would pass as the count 1
+        for bad, minimum in ((True, 1), (False, 0)):
+            with pytest.raises(InvalidParameter, match=f"n must be an integer >= {minimum}"):
+                integer("n", bad, minimum)
+        integer("n", 0, minimum=0)
+
     def test_as_vector_length(self):
         assert as_vector([1.0, 2.0], 2).tolist() == [1.0, 2.0]
         with pytest.raises(InvalidParameter, match="w has length 3, expected 2"):

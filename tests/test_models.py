@@ -36,6 +36,11 @@ class TestSim1:
     def test_step_bound(self):
         params = Sim1Params(np.array([2.0, -1.0]))
         assert build_sim1(params).step_bound == pytest.approx(1.0 / (4.0 * np.sqrt(5.0)))
+        # the Sharpe bound eps/(2*N*lambda1*||p||) at eps = lambda1 = 1, N = 2, bit for bit
+        rng = np.random.default_rng(29)
+        for params in [params] + [random_sim1_params(rng) for _ in range(20)]:
+            expected = 1.0 / (4.0 * float(np.linalg.norm(params.p)))
+            assert build_sim1(params).step_bound == expected
 
     def test_negative_orthant_interior_solution(self):
         assert np.allclose(
@@ -129,6 +134,13 @@ class TestSim2:
             Sim2Params(0.0, 4.0, 2.0, 3.0, 3.0, 2.0, 3.0)
         with pytest.raises(InvalidParameter):
             Sim2Params(100.0, -4.0, 2.0, -3.0, 3.0, 2.0, 3.0)
+
+    def test_coefficients_stored_as_python_floats(self):
+        params = Sim2Params(np.float64(100.0), *np.array([4.0, 2.0, 3.0, 3.0, 2.0, 3.0]))
+        for name in ("a0", "a1", "a2", "a3", "a4", "a5", "a6"):
+            assert type(getattr(params, name)) is float
+        assert params == BENCH_SIM2
+        assert type(Sim2Params(100, 4, 2, 3, 3, 2, 3).a1) is float
 
     def test_infinite_coefficients_rejected(self):
         valid = [4.0, 2.0, 3.0, 3.0, 2.0, 3.0]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from fracopt.errors import (
 )
 from fracopt.sharpe import (
     ReturnsMatrix,
+    SharpeModel,
     build_sharpe_model,
     returns_matrix,
     sharpe_objective,
@@ -49,6 +51,12 @@ class TestReturnsMatrix:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidParameter):
             returns_matrix([[0.1, np.nan], [0.0, 0.0]])
+
+    def test_asset_labels_default(self):
+        r = ReturnsMatrix(np.zeros((3, 4)))
+        assert r.asset_labels == ("A1", "A2", "A3", "A4")
+        assert r.period_labels is None
+        assert returns_matrix is ReturnsMatrix
 
     def test_wrong_rank(self):
         with pytest.raises(DimensionError):
@@ -95,6 +103,38 @@ class TestBuildModel:
     def test_zero_mean_degenerate(self):
         with pytest.raises(DegenerateModel):
             build_sharpe_model(returns_matrix([[0.1], [-0.1]]), 1e-4)
+
+    def test_step_bound_is_derived(self):
+        rng = np.random.default_rng(71)
+        for n in (1, 2, 8, 30):
+            p = rng.normal(0.005, 0.04, n)
+            q = np.eye(n)
+            eps, lam = 1e-4, float(rng.uniform(0.5, 2.0))
+            model = SharpeModel(p, q, eps, lam)
+            assert model.step_bound == eps / (2.0 * n * lam * float(np.linalg.norm(p)))
+        fields = [f.name for f in dataclasses.fields(SharpeModel) if f.init]
+        assert fields == ["p", "q_eps", "eps_hat", "lambda1"]
+        with pytest.raises(TypeError):
+            SharpeModel(p, q, eps, lam, 1.0)
+        values = rng.normal(0.005, 0.04, (40, 10))
+        model = build_sharpe_model(returns_matrix(values), 1e-4)
+        p_norm = float(np.linalg.norm(model.p))
+        assert model.step_bound == 1e-4 / (2.0 * 10 * model.lambda1 * p_norm)
+
+    def test_zero_mean_model_degenerate(self):
+        with pytest.raises(DegenerateModel, match="all-zero mean returns"):
+            SharpeModel(np.zeros(2), np.eye(2), 1e-4, 1.0)
+
+    def test_non_positive_eigenvalue_rejected(self):
+        for lam in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidParameter, match="lambda1 must be positive and finite"):
+                SharpeModel(np.array([0.1, 0.2]), np.eye(2), 1e-4, lam)
+
+    def test_overflowing_step_bound_degenerate(self):
+        # at 1e150 the product 2*N*lambda1*||p|| overflows and the bound is 0
+        values = np.random.default_rng(0).normal(0.0, 1e150, (10, 3))
+        with pytest.raises(DegenerateModel, match="step bound 0.0 is not positive and finite"):
+            build_sharpe_model(returns_matrix(values), 1e-4)
 
     def test_bad_eps(self):
         with pytest.raises(InvalidParameter):
