@@ -6,7 +6,9 @@ Three strategies ship: the Sharpe optimizer, per-period equal-weight
 rebalancing, and buy-and-hold (equal initial allocation left to drift with
 prices, never rebalanced). The report carries the realized return series,
 its Sharpe ratio (zero risk-free rate, sample standard deviation), and the
-cumulative wealth path starting from 1.
+cumulative wealth path starting from 1. A realized return, wealth or Sharpe
+ratio beyond the float range raises DataError, as does a loss beyond 100%
+on a market holding (WealthWipeout).
 """
 
 import csv
@@ -20,6 +22,7 @@ import numpy as np
 
 from .core import Status
 from .errors import (
+    DataError,
     DegenerateSeries,
     FracoptError,
     InsufficientData,
@@ -155,12 +158,22 @@ def load_returns_csv(path, unit=ReturnsUnit.DECIMAL):
     return ReturnsMatrix(values, asset_labels, period_labels)
 
 
+def _in_float_range(what, compute):
+    """compute(), raising DataError where ``what`` overflows, not numpy's RuntimeWarning."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return compute()
+    except FloatingPointError as exc:
+        raise DataError(f"{what} leaves the float range ({exc})") from None
+
+
 def compute_sharpe(returns):
     """Mean over sample standard deviation (ddof 1), zero risk-free rate."""
     r = np.asarray(returns, dtype=float)
     if r.size < 2:
         raise InsufficientData(f"need at least 2 returns, got {r.size}")
-    std = float(r.std(ddof=1))
+    # the variance sums the returns as the mean does, so a finite std has a finite mean
+    std = _in_float_range("the Sharpe ratio", lambda: float(r.std(ddof=1)))
     if std == 0.0:
         raise DegenerateSeries("zero sample variance: Sharpe ratio undefined")
     return float(r.mean()) / std
@@ -174,7 +187,7 @@ def compute_wealth(returns):
         raise WealthWipeout(f"period {wiped[0] + 1}: portfolio lost 100% or more")
     if r.size == 0:
         return 1.0, np.array([])
-    path = np.cumprod(1.0 + r)
+    path = _in_float_range("wealth", lambda: np.cumprod(1.0 + r))
     return float(path[-1]), path
 
 
@@ -183,7 +196,9 @@ def market_strategy_step(state, price_relatives):
     state = np.asarray(state, dtype=float)
     x = np.asarray(price_relatives, dtype=float)
     held = state * x
-    total = float(held.sum())
+    total = _in_float_range("a realized return", lambda: float(held.sum()))
+    if held.min() < 0.0:
+        raise WealthWipeout("a held asset lost more than 100%")
     if total <= 0.0:
         raise WealthWipeout("drifted portfolio value is non-positive")
     return held / total
@@ -196,8 +211,8 @@ def run_backtest(r, cfg):
     equal weights for the window-based strategies; from period window+1 on,
     the Sharpe strategy re-optimizes each period on exactly the trailing
     ``window`` rows. Buy-and-hold ignores the window: it starts equal at
-    period 1 and only drifts thereafter. Solver errors are re-raised with
-    the 1-based period index prepended; the 1-based indices of periods whose
+    period 1 and only drifts thereafter. Errors in a period are re-raised
+    with its 1-based index prepended; the 1-based indices of periods whose
     solve stopped without converging are listed in
     ``report.nonconverged_periods``.
     """
@@ -207,35 +222,25 @@ def run_backtest(r, cfg):
         raise InsufficientData(
             f"{total} periods cannot cover window {cfg.window} plus one trading period"
         )
-    equal = np.full(n, 1.0 / n)
+    relatives = 1.0 + values
+    w = np.full(n, 1.0 / n)
     weights = np.empty((total, n))
     nonconverged = []
-
-    if cfg.strategy is Strategy.MARKET:
-        w = equal
+    try:
         for t in range(total):
+            if cfg.strategy is Strategy.SRM_PGA and t >= cfg.window:
+                window_rows = ReturnsMatrix(values[t - cfg.window : t], r.asset_labels)
+                res = srm_pga(build_sharpe_model(window_rows, cfg.eps_hat))
+                w = res.weights
+                if res.result.status is not Status.CONVERGED:
+                    nonconverged.append(t + 1)
             weights[t] = w
-            w = market_strategy_step(w, 1.0 + values[t])
-    elif cfg.strategy is Strategy.ONE_OVER_N:
-        weights[:] = equal
-    else:
-        for t in range(total):
-            if t < cfg.window:
-                weights[t] = equal
-                continue
-            window_rows = values[t - cfg.window : t]
-            try:
-                model = build_sharpe_model(
-                    ReturnsMatrix(window_rows, r.asset_labels), cfg.eps_hat
-                )
-                res = srm_pga(model)
-            except FracoptError as exc:
-                raise type(exc)(f"period {t + 1}: {exc}") from exc
-            weights[t] = res.weights
-            if res.result.status is not Status.CONVERGED:
-                nonconverged.append(t + 1)
+            if cfg.strategy is Strategy.MARKET:
+                w = market_strategy_step(w, relatives[t])
+    except FracoptError as exc:
+        raise type(exc)(f"period {t + 1}: {exc}") from exc
 
-    realized = (weights * (1.0 + values)).sum(axis=1) - 1.0
+    realized = _in_float_range("a realized return", lambda: (weights * relatives).sum(1) - 1.0)
     final_wealth, path = compute_wealth(realized)
     sharpe = compute_sharpe(realized)
     return BacktestReport(

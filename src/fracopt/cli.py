@@ -1,8 +1,8 @@
 """Command-line front door for the solvers, example problems, and backtests.
 
-Exit codes: 0 success, 2 usage or validation error, 3 solver error,
-4 data error. Human output prints 4 decimal places; trace CSV and JSON
-files carry full precision.
+Exit codes by error class: 0 success, 2 InvalidParameter, 3 any other
+FracoptError, 4 DataError or OSError. Human output prints 4 decimal places;
+trace CSV and JSON files carry full precision.
 """
 
 import argparse
@@ -15,15 +15,7 @@ import numpy as np
 
 from . import backtest as bt
 from .core import PgaConfig, Status, pga_solve
-from .errors import (
-    DegenerateModel,
-    DegenerateSeries,
-    FracoptError,
-    InsufficientData,
-    InvalidParameter,
-    ParseError,
-    WealthWipeout,
-)
+from .errors import DataError, FracoptError, InvalidParameter
 from .models import (
     Sim1Params,
     Sim2Params,
@@ -37,12 +29,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_DATA = 4
-
-# OSError covers a missing or unreadable --data, a directory given as --data,
-# and an --out that is a file, missing or unwritable
-_DATA_ERRORS = (
-    OSError, ParseError, InsufficientData, DegenerateSeries, DegenerateModel, WealthWipeout
-)
 
 
 def _parse_floats(text, count, name):
@@ -243,7 +229,9 @@ def main(argv=None):
     except InvalidParameter as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DATA_ERRORS as exc:
+    # OSError covers a missing or unreadable --data, a directory given as
+    # --data, and an --out that is a file, missing or unwritable
+    except (OSError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except FracoptError as exc:

@@ -41,11 +41,15 @@ class InnerSolverFailure(FracoptError):
     """The parametric subproblem solver failed to converge."""
 
 
-class DegenerateModel(FracoptError):
+class DataError(FracoptError):
+    """The input data admit no answer; the command line exits 4 for every subclass."""
+
+
+class DegenerateModel(DataError):
     """Model data admits no well-defined step size (e.g. all-zero means)."""
 
 
-class ParseError(FracoptError):
+class ParseError(DataError):
     """A CSV cell or row could not be parsed.
 
     Carries 1-based ``row`` and optional ``col`` attributes.
@@ -57,13 +61,13 @@ class ParseError(FracoptError):
         self.col = col
 
 
-class InsufficientData(FracoptError):
+class InsufficientData(DataError):
     """Too few periods to perform the requested computation."""
 
 
-class DegenerateSeries(FracoptError):
+class DegenerateSeries(DataError):
     """A return series has zero sample variance; its Sharpe ratio is undefined."""
 
 
-class WealthWipeout(FracoptError):
+class WealthWipeout(DataError):
     """A portfolio outcome lost 100% or more of wealth in one period."""

@@ -62,11 +62,11 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=10_000):
     The input is read in place and never written; with its largest entry
     outside (2**-400, 2**400), the sweep runs on a copy scaled by a power of
     two. Raises DimensionError for input that is not a non-empty 2-d array,
-    InvalidParameter for NaN or Inf entries, InvalidMatrix for non-square or
-    asymmetric input (beyond 1e-10 relative asymmetry), InvalidParameter
-    unless ``tol`` is positive and finite and ``max_iter`` is an integer
-    >= 1, and NoConvergence if ``max_iter`` sweeps do not settle the
-    Rayleigh quotient.
+    InvalidParameter for NaN or Inf entries or a result beyond the float
+    range, InvalidMatrix for non-square or asymmetric input (beyond 1e-10
+    relative asymmetry), InvalidParameter unless ``tol`` is positive and
+    finite and ``max_iter`` is an integer >= 1, and NoConvergence if
+    ``max_iter`` sweeps do not settle the Rayleigh quotient.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
@@ -113,6 +113,8 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=10_000):
             continue
         lam_new = float(v @ w)
         if lam is not None and abs(lam_new - lam) <= tol * max(abs(lam_new), tiny):
+            if math.frexp(lam_new)[1] + e > 1024:
+                raise InvalidParameter(f"the eigenvalue {lam_new} * 2**{e} exceeds the float range")
             return math.ldexp(lam_new, e)
         lam = lam_new
         v = w / wn

@@ -101,8 +101,8 @@ returns_matrix = ReturnsMatrix
 class SharpeModel:
     """Assembled objective data and the step bound eps_hat / (2*N*lambda1*||p||) it derives.
 
-    InvalidParameter unless lambda1 is positive and finite; DegenerateModel when every mean
-    is zero or the bound is not positive and finite.
+    DimensionError unless p is (N,) and q_eps (N, N); InvalidParameter unless lambda1 is
+    positive and finite; DegenerateModel when every mean is zero or the bound is not.
     """
 
     p: np.ndarray
@@ -112,11 +112,14 @@ class SharpeModel:
     step_bound: float = field(init=False)
 
     def __post_init__(self):
+        if self.p.ndim != 1 or self.q_eps.shape != (self.p.size,) * 2:
+            raise DimensionError(f"p of shape {self.p.shape} with q_eps {self.q_eps.shape}")
         positive("lambda1", self.lambda1)
-        p_norm = float(np.linalg.norm(self.p))
-        if p_norm == 0.0:
+        p_norm = math.sqrt(np.vdot(self.p, self.p))  # np.linalg.norm's sum, never warning
+        if p_norm == 0.0 and not self.p.any():
             raise DegenerateModel("all-zero mean returns: step bound undefined")
-        step_bound = self.eps_hat / (2.0 * self.n_assets * self.lambda1 * p_norm)
+        denominator = 2.0 * self.n_assets * self.lambda1 * p_norm
+        step_bound = self.eps_hat / denominator if denominator > 0.0 else math.inf
         if not 0.0 < step_bound < math.inf:
             raise DegenerateModel(f"step bound {step_bound} is not positive and finite")
         object.__setattr__(self, "step_bound", step_bound)
@@ -137,18 +140,23 @@ def build_sharpe_model(r, eps_hat=1e-4):
     p is the column mean of the returns; the demeaned, 1/sqrt(T-1)-scaled
     matrix forms the Gram term; eps_hat*I regularizes it. Both steps work in
     place on arrays the build allocates, with the rounding of the direct
-    formula. Raises DegenerateModel when :class:`SharpeModel` finds no
-    step bound.
+    formula. Raises DegenerateModel when the mean, the Gram matrix or lambda1
+    leaves the float range, or when :class:`SharpeModel` finds no step bound.
     """
     positive("eps_hat", eps_hat)
     values = r.values
     t, n = values.shape
-    p = values.mean(axis=0)
-    q = values - p
-    q /= np.sqrt(t - 1.0)
-    q_eps = q.T @ q
-    q_eps.flat[:: n + 1] += eps_hat
-    return SharpeModel(p, q_eps, eps_hat, dominant_eigenvalue(q_eps, tol=_EIG_TOL))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = values.mean(axis=0)
+        q = values - p
+        q /= np.sqrt(t - 1.0)
+        q_eps = q.T @ q
+        q_eps.flat[:: n + 1] += eps_hat
+    try:  # an overflow above leaves q_eps non-finite, which the power iteration rejects
+        lambda1 = dominant_eigenvalue(q_eps, tol=_EIG_TOL)
+    except InvalidParameter as exc:
+        raise DegenerateModel(f"the returns leave the float range: {exc}") from None
+    return SharpeModel(p, q_eps, eps_hat, lambda1)
 
 
 def sharpe_objective(model, w):
@@ -208,7 +216,10 @@ def sharpe_problem(model):
         # off-support multiplier of the QP form, a positive multiple of
         # (Q z - p) there, is nonnegative
         idx = np.flatnonzero(w)
-        z = np.linalg.solve(q_eps[np.ix_(idx, idx)], p[idx])
+        try:
+            z = np.linalg.solve(q_eps[np.ix_(idx, idx)], p[idx])
+        except np.linalg.LinAlgError:  # Q_SS is singular in float64: nothing to offer
+            return None
         if not np.all(z > 0.0):
             return None
         off = np.flatnonzero(w == 0.0)

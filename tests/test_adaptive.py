@@ -34,7 +34,13 @@ from fracopt.models import (
     sim2_is_global,
 )
 from fracopt.projections import project_simplex
-from fracopt.sharpe import build_sharpe_model, returns_matrix, sharpe_problem, srm_pga
+from fracopt.sharpe import (
+    SharpeModel,
+    build_sharpe_model,
+    returns_matrix,
+    sharpe_problem,
+    srm_pga,
+)
 
 SIM1_A = Sim1Params(np.array([2.0, -1.0]))
 SIM1_B = Sim1Params(np.array([-2.0, -1.0]))
@@ -360,6 +366,11 @@ class TestExactFinish:
         w_fin = sharpe_problem(model).finish(w)
         assert w_fin is not None
         assert np.allclose(w_fin, best.weights, rtol=0.0, atol=1e-12)
+
+    def test_sharpe_finish_offers_nothing_on_a_singular_face(self):
+        # a face matrix that is singular in float64 has no tangency portfolio
+        model = SharpeModel(np.array([0.1, 0.2]), np.ones((2, 2)), 1e-4, 2.0)
+        assert sharpe_problem(model).finish(np.array([0.5, 0.5])) is None
 
     def test_fixed_step_never_calls_the_finish(self):
         problem = sharpe_problem(self.model())

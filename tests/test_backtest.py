@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from fracopt.backtest import (
     run_backtest,
 )
 from fracopt.errors import (
+    DataError,
     DegenerateSeries,
     InsufficientData,
     InvalidParameter,
@@ -191,6 +193,18 @@ class TestMetrics:
         with pytest.raises(WealthWipeout, match="period 2"):
             compute_wealth([0.1, -1.0, -1.5])
 
+    def test_overflowing_wealth_is_a_data_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match="wealth leaves the float range"):
+                compute_wealth([1e200, 1e200])
+
+    def test_overflowing_sharpe_moments_are_a_data_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match="Sharpe ratio leaves the float range"):
+                compute_sharpe([1e200, -1e200, 3e200])
+
 
 class TestMarketStep:
     def test_drift(self):
@@ -208,6 +222,11 @@ class TestMarketStep:
     def test_wipeout(self):
         with pytest.raises(WealthWipeout):
             market_strategy_step([0.5, 0.5], [0.0, 0.0])
+
+    def test_held_asset_losing_more_than_everything_is_a_wipeout(self):
+        # the total stays positive, but a negative holding leaves the simplex
+        with pytest.raises(WealthWipeout, match="lost more than 100%"):
+            market_strategy_step([0.5, 0.5], [-0.2, 1.5])
 
 
 class TestRunBacktest:
@@ -304,6 +323,37 @@ class TestRunBacktest:
         values = np.array([[0.01, 0.01], [0.02, 0.0], [-1.2, -1.2], [0.0, 0.0]])
         with pytest.raises(WealthWipeout, match="period 3"):
             run_backtest(returns_matrix(values), BacktestConfig(window=2, strategy="one-over-n"))
+
+    def test_market_wipeout_names_its_period(self):
+        values = np.array([[0.01, 0.01], [0.02, 0.0], [-1.2, -1.2], [0.0, 0.0]])
+        cfg = BacktestConfig(window=2, strategy="market")
+        with pytest.raises(WealthWipeout, match="^period 3: "):
+            run_backtest(returns_matrix(values), cfg)
+
+    def test_market_holding_below_zero_is_a_wipeout(self):
+        values = np.array([[0.01, 0.01], [0.02, 0.0], [-1.2, 0.5], [0.01, 0.0]])
+        cfg = BacktestConfig(window=2, strategy="market")
+        with pytest.raises(WealthWipeout, match="^period 3: a held asset lost more than 100%"):
+            run_backtest(returns_matrix(values), cfg)
+
+    @pytest.mark.parametrize("strategy", ["one-over-n", "market"])
+    def test_overflowing_wealth_is_a_data_error(self, strategy):
+        values = np.abs(np.random.default_rng(3).normal(1.0, 0.1, (10, 2))) * 1e100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match="float range"):
+                run_backtest(returns_matrix(values), BacktestConfig(window=2, strategy=strategy))
+
+    def test_overflowing_realized_return_is_a_data_error(self):
+        # equal weights of 1/11 sum to just above 1, so their mix of the
+        # largest float overflows
+        values = np.full((4, 11), np.finfo(float).max)
+        for strategy in ("one-over-n", "market"):
+            cfg = BacktestConfig(window=2, strategy=strategy)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(DataError, match="a realized return leaves the float range"):
+                    run_backtest(returns_matrix(values), cfg)
 
     def test_solver_error_annotated_with_period(self):
         # zero-mean optimization window makes the model degenerate at period 5

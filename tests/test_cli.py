@@ -10,6 +10,16 @@ import fracopt.cli
 from fracopt.backtest import compute_sharpe
 from fracopt.cli import main
 from fracopt.core import PgaConfig
+from fracopt.errors import (
+    DataError,
+    DegenerateModel,
+    DegenerateSeries,
+    FracoptError,
+    InsufficientData,
+    NumericalBreakdown,
+    ParseError,
+    WealthWipeout,
+)
 from fracopt.sharpe import srm_pga
 
 
@@ -479,6 +489,52 @@ class TestFileErrors:
             locked.chmod(0o700)
         assert code == 4
         assert err.startswith("error: ")
+
+
+class TestExitCategories:
+    """The class of the error sets the exit code: 2 usage, 3 solver, 4 data."""
+
+    @pytest.mark.parametrize(
+        "cls", [ParseError, InsufficientData, DegenerateSeries, DegenerateModel, WealthWipeout]
+    )
+    def test_data_classes_share_one_base(self, cls):
+        assert issubclass(cls, DataError)
+
+    @pytest.mark.parametrize(
+        "error, code", [(DataError, 4), (NumericalBreakdown, 3), (FracoptError, 3)]
+    )
+    def test_code_follows_the_class(self, capsys, tmp_path, monkeypatch, error, code):
+        def raises(*args):
+            raise error("boom")
+
+        monkeypatch.setattr(fracopt.cli, "build_sharpe_model", raises)
+        data = write_csv(tmp_path, SYNTHETIC_CSV)
+        got, _, err = run_cli(capsys, "sharpe", "--data", data, "--out", str(tmp_path))
+        assert got == code
+        assert err.count("\n") == 1 and err.endswith("boom\n")
+
+    def test_overflowing_gram_exits_4_without_warning(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        values = np.random.default_rng(0).normal(0.3, 1.0, (10, 3)) * 1e155
+        np.savetxt(path, values, delimiter=",", header="A,B,C", comments="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_cli(capsys, "sharpe", "--data", str(path), "--out", str(tmp_path))
+        assert code == 4
+        assert err.startswith("error: ") and err.count("\n") == 1 and "float range" in err
+
+    def test_overflowing_wealth_exits_4_without_writing_a_report(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        values = np.abs(np.random.default_rng(0).normal(1.0, 0.1, (10, 2))) * 1e100
+        np.savetxt(path, values, delimiter=",", header="A,B", comments="")
+        argv = ["backtest", "--data", str(path), "--out", str(tmp_path), "--window", "2"]
+        argv += ["--strategy", "one-over-n"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert err.startswith("error: ") and err.count("\n") == 1 and "float range" in err
+        assert not (tmp_path / "backtest_report.json").exists()
 
 
 class TestUsage:

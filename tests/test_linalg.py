@@ -178,6 +178,11 @@ class TestDominantEigenvalue:
                     3.0 * scale, rel=1e-9
                 )
 
+    def test_eigenvalue_beyond_the_float_range_rejected(self):
+        # every entry is finite, but lambda1 = 3e308 is not
+        with pytest.raises(InvalidParameter, match="float range"):
+            dominant_eigenvalue(1e308 * np.ones((3, 3)))
+
 class TestDenseOps:
     def test_nan_rejected_on_construction(self):
         with pytest.raises(InvalidParameter):

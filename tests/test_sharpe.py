@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,44 @@ class TestBuildModel:
         values = np.random.default_rng(0).normal(0.0, 1e150, (10, 3))
         with pytest.raises(DegenerateModel, match="step bound 0.0 is not positive and finite"):
             build_sharpe_model(returns_matrix(values), 1e-4)
+
+    def test_overflowing_gram_degenerate_without_warning(self):
+        # at 1e155 the Gram product q.T @ q overflows: a data error, not a
+        # RuntimeWarning followed by a complaint about non-finite matrix entries
+        values = np.random.default_rng(0).normal(0.3, 1.0, (10, 3)) * 1e155
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateModel, match="float range"):
+                build_sharpe_model(returns_matrix(values), 1e-4)
+
+    def test_overflowing_mean_degenerate_without_warning(self):
+        values = np.array([[1.5e308, 0.1], [1.5e308, 0.2], [1.0e308, 0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateModel, match="float range"):
+                build_sharpe_model(returns_matrix(values), 1e-4)
+
+    def test_mismatched_shapes_rejected_on_construction(self):
+        with pytest.raises(DimensionError):
+            SharpeModel(np.array([0.1, 0.2]), np.eye(3), 1e-4, 1.0)
+        with pytest.raises(DimensionError):
+            SharpeModel(np.array([[0.1, 0.2]]), np.eye(2), 1e-4, 1.0)
+
+    def test_underflowing_norm_is_not_all_zero_means(self):
+        # the means are nonzero, but ||p|| underflows to 0.0
+        with pytest.raises(DegenerateModel, match="step bound inf is not positive"):
+            SharpeModel(np.array([1e-320, 2e-320]), np.eye(2), 1e-4, 1.0)
+
+    def test_underflowing_denominator_degenerate(self):
+        # ||p|| = 1e-150 is positive, but 2*N*lambda1*||p|| underflows to 0.0
+        with pytest.raises(DegenerateModel, match="step bound inf is not positive"):
+            SharpeModel(np.array([1e-150]), np.array([[1e-200]]), 1e-4, 1e-200)
+
+    def test_overflowing_norm_degenerate_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateModel, match="step bound 0.0 is not positive"):
+                SharpeModel(np.full(3, 1e154), np.eye(3), 1e-4, 1.0)
 
     def test_bad_eps(self):
         with pytest.raises(InvalidParameter):
