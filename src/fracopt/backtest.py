@@ -75,8 +75,9 @@ def load_returns_csv(path, unit=ReturnsUnit.DECIMAL):
 
     The first column holds period labels when its header cell is blank (the
     index column pandas writes), when its first data cell is not a number,
-    or when other columns follow and every cell in it is an integer, in
-    strictly increasing order (years, yyyymmdd dates, period indices). Percent
+    or when other columns follow and it holds strictly increasing integers
+    that are consecutive (period indices) or all at least 1000 (years,
+    yyyymm and yyyymmdd dates); other integer columns are returns. Percent
     input is divided by 100; the returned matrix is always decimal. The file
     is read as UTF-8; a leading byte-order mark is skipped.
     Undecodable bytes, a malformed CSV line or a blank asset label raise
@@ -104,17 +105,18 @@ def load_returns_csv(path, unit=ReturnsUnit.DECIMAL):
         except ValueError:
             return False
 
-    def _increasing_integers(cells):
+    def _period_integers(cells):
         try:
             ints = [int(cell) for cell in cells]
         except ValueError:
             return False
-        return all(a < b for a, b in zip(ints, ints[1:]))
+        increasing = all(a < b for a, b in zip(ints, ints[1:]))
+        return increasing and (ints[0] >= 1000 or ints[-1] - ints[0] == len(ints) - 1)
 
     has_labels = (
         not header[0].strip()
         or not _is_number(data[0][0])
-        or (len(header) > 1 and _increasing_integers(row[0] for row in data))
+        or (len(header) > 1 and _period_integers(row[0] for row in data))
     )
     offset = 1 if has_labels else 0
     asset_labels = [h.strip() for h in header[offset:]]

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, InvalidParameter, NumericalBreakdown
+from .errors import DimensionError, InvalidParameter
 
 
 def project_simplex(x):
@@ -25,10 +25,9 @@ def project_simplex(x):
     j' whose running average keeps the shifted entries positive, subtract
     the threshold, clip at zero. O(n log n), no iteration.
 
-    Raises DimensionError for input that is not a non-empty 1-d vector,
-    InvalidParameter for NaN or Inf entries, and NumericalBreakdown when the
-    entries are too large for the support test to resolve in float64. The
-    input is never mutated; the result is a new float64 array.
+    Every finite input has an answer. Raises DimensionError for input that
+    is not a non-empty 1-d vector and InvalidParameter for NaN or Inf
+    entries. The input is never mutated; the result is a new float64 array.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -41,38 +40,26 @@ def project_simplex(x):
     u = u[::-1]
     # the accumulate that ndarray.cumsum wraps, without the wrapper
     css = np.add.accumulate(u)
-    # a NaN or Inf entry makes the total non-finite; finite entries whose
-    # total overflows are left to the support test below
-    if not math.isfinite(css[-1]) and not np.all(np.isfinite(x)):
-        raise InvalidParameter("vector entries must be finite (no NaN/Inf)")
+    # a NaN or Inf entry makes the total non-finite; so may finite entries
+    if not math.isfinite(css[-1]):
+        if not np.all(np.isfinite(x)):
+            raise InvalidParameter("vector entries must be finite (no NaN/Inf)")
+        # a sum below the float range marks a size that cannot qualify: with
+        # |u[0]| <= 2**52 its entries lie far below u[0]
+        css[css == -math.inf] = math.inf
+    if abs(u[0]) > 2.0**52:
+        # doubles this large are whole numbers, so every smaller entry is at
+        # least 1 below u[0] and the largest entries share the mass
+        top = x == u[0]
+        return top / np.count_nonzero(top)
     # t[j-1] = (css[j-1] - 1)/j, the threshold of support size j; the strict
-    # u > t is the support rule u - t > 0 for every IEEE double, inf and NaN
-    # included. j=1 qualifies since u[0] - 1 < u[0], unless u[0] is so large
-    # (about 1e16 and up) that u[0]-1 rounds to u[0]
+    # u > t is the support rule u - t > 0, and size 1 always qualifies
     t = css - 1.0
-    t /= _ramp(n)
+    t /= np.arange(1.0, n + 1.0)
     positive = u > t
     jp = n - int(positive[::-1].argmax())
-    if not positive[jp - 1]:
-        raise NumericalBreakdown(
-            f"simplex projection lost precision: no support size qualifies (max entry {u[0]})"
-        )
     y = x - t[jp - 1]
     return np.maximum(y, 0.0, out=y)
-
-
-# the ramp 1.0, 2.0, ..., n of the longest vector projected so far; shorter
-# ones read a prefix of it
-_RAMP = np.arange(1.0, 1.0)
-
-
-def _ramp(n):
-    global _RAMP
-    # read once: a concurrent call may swap in a shorter ramp meanwhile
-    ramp = _RAMP
-    if ramp.shape[0] < n:
-        ramp = _RAMP = np.arange(1.0, n + 1.0)
-    return ramp[:n]
 
 
 def band_projector(a0):

@@ -141,7 +141,9 @@ def build_sharpe_model(r, eps_hat=1e-4):
     matrix forms the Gram term; eps_hat*I regularizes it. Both steps work in
     place on arrays the build allocates, with the rounding of the direct
     formula. Raises DegenerateModel when the mean, the Gram matrix or lambda1
-    leaves the float range, or when :class:`SharpeModel` finds no step bound.
+    leaves the float range, when fewer than N+1 rows leave the Gram matrix
+    singular and eps_hat is lost to rounding beside lambda1 (so w.Q.w can
+    round below zero), or when :class:`SharpeModel` finds no step bound.
     """
     positive("eps_hat", eps_hat)
     values = r.values
@@ -156,6 +158,11 @@ def build_sharpe_model(r, eps_hat=1e-4):
         lambda1 = dominant_eigenvalue(q_eps, tol=_EIG_TOL)
     except InvalidParameter as exc:
         raise DegenerateModel(f"the returns leave the float range: {exc}") from None
+    if t - 1 < n and eps_hat <= n * lambda1 * 2.0**-52:
+        raise DegenerateModel(
+            f"{t} x {n} returns give a singular Gram matrix, and eps_hat {eps_hat} is "
+            f"within rounding of lambda1 {lambda1}: w.Q.w can round below zero"
+        )
     return SharpeModel(p, q_eps, eps_hat, lambda1)
 
 

@@ -146,6 +146,28 @@ class TestLoader:
         assert r.asset_labels == tuple(header.split(","))
         assert np.array_equal(r.values, [[float(c) for c in row.split(",")] for row in rows])
 
+    def test_named_integer_returns_column_stays_an_asset(self, tmp_path):
+        # 1, 2, 4 are increasing integers, but neither consecutive nor dates
+        path = write_csv(tmp_path, "A,B,C\n1,2,-1\n2,-1,3\n4,3,2\n")
+        r = load_returns_csv(path, ReturnsUnit.PERCENT)
+        assert r.period_labels is None
+        assert r.asset_labels == ("A", "B", "C")
+        assert np.array_equal(r.values, [[0.01, 0.02, -0.01], [0.02, -0.01, 0.03], [0.04, 0.03, 0.02]])
+
+    @pytest.mark.parametrize(
+        "text, labels",
+        [
+            ("t,A,B\n7,0.01,0.02\n8,0.03,0.01\n9,0.02,0.02\n", ("7", "8", "9")),
+            ("month,A,B\n202311,0.01,0.02\n202312,0.03,0.01\n202401,0.02,0.02\n",
+             ("202311", "202312", "202401")),
+        ],
+        ids=["period-index", "yyyymm"],
+    )
+    def test_named_period_integers_are_labels(self, tmp_path, text, labels):
+        r = load_returns_csv(write_csv(tmp_path, text))
+        assert r.asset_labels == ("A", "B")
+        assert r.period_labels == labels
+
     def test_blank_asset_label_rejected(self, tmp_path):
         path = write_csv(tmp_path, "date,A,,B\nx,1.0,2.0,3.0\ny,3.0,4.0,5.0\n")
         with pytest.raises(ParseError) as excinfo:

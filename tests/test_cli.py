@@ -523,6 +523,29 @@ class TestExitCategories:
         assert code == 4
         assert err.startswith("error: ") and err.count("\n") == 1 and "float range" in err
 
+    def test_singular_gram_lost_to_rounding_exits_4(self, capsys, tmp_path):
+        # a two-period window of five assets at 1e7: w.Q.w can round below zero
+        path = tmp_path / "wide.csv"
+        values = np.random.default_rng(3).normal(0.3, 1.0, (6, 5)) * 1e7
+        np.savetxt(path, values, delimiter=",", header="A,B,C,D,E", comments="")
+        argv = ["backtest", "--data", str(path), "--out", str(tmp_path), "--window", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert err.startswith("error: period 3: ") and err.count("\n") == 1 and "eps_hat" in err
+
+    def test_large_returns_solve_with_a_certificate(self, capsys, tmp_path):
+        # at 1e18 the adaptive solve's trial points pass 2**53
+        path = tmp_path / "large.csv"
+        values = np.random.default_rng(0).normal(0.3, 1.0, (60, 8)) * 1e18
+        np.savetxt(path, values, delimiter=",", header="A,B,C,D,E,F,G,H", comments="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_cli(capsys, "sharpe", "--data", str(path), "--out", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert json.loads((tmp_path / "sharpe_result.json").read_text())["global_certificate"]
+
     def test_overflowing_wealth_exits_4_without_writing_a_report(self, capsys, tmp_path):
         path = tmp_path / "huge.csv"
         values = np.abs(np.random.default_rng(0).normal(1.0, 0.1, (10, 2))) * 1e100

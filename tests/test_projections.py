@@ -180,9 +180,6 @@ class TestBitIdentity:
     @pytest.mark.parametrize(
         "x",
         [
-            [1e16, 0.0],
-            [1e308, 1e308],
-            [1e17, 1e17, -1e17],
             [0.1, np.nan],
             [np.inf, 0.2],
             [-np.inf, 0.3],
@@ -192,8 +189,7 @@ class TestBitIdentity:
             [[1.0, 2.0]],
         ],
         ids=[
-            "1e16", "overflow", "1e17-ties", "nan", "+inf", "-inf", "inf-minus-inf",
-            "lone-nan", "empty", "2-d",
+            "nan", "+inf", "-inf", "inf-minus-inf", "lone-nan", "empty", "2-d",
         ],
     )
     def test_raises_as_the_frozen_formula_does(self, x):
@@ -239,11 +235,40 @@ class TestValidation:
             assert not np.shares_memory(x, y)
 
     def test_finite_entries_too_large_to_resolve(self):
-        # u[0] - (u[0] - 1) rounds to 0 at 1e16, and the total overflows at
-        # 1e308: no support size passes the test, so the projection refuses
-        for x in ([1e16, 0.0], [1e308, 1e308]):
-            with np.errstate(over="ignore"), pytest.raises(NumericalBreakdown):
-                project_simplex(x)
+        # the threshold formula cannot resolve these: u[0] - 1 rounds to u[0]
+        # at 1e16 and 1e17 and down to u[0] - 2 at 1e16 + 2 (the formula gave
+        # [2, 0]), the running sum 2**53 + 1 rounds to 2**53 (it gave [1, 1]),
+        # and the total overflows at 1e308 and to -inf at -1e308 (it gave
+        # inf); each answer is the projection of x - max(x)
+        cases = [
+            ([1e16, 0.0], [1.0, 0.0]),
+            ([1e308, 1e308], [0.5, 0.5]),
+            ([1e17, 1e17, -1e17], [0.5, 0.5, 0.0]),
+            ([1e16 + 2.0, 0.0], [1.0, 0.0]),
+            ([2.0**52 + 1.0, 2.0**52 + 1.0], [0.5, 0.5]),
+            ([-(2.0**53), -(2.0**53)], [0.5, 0.5]),
+            ([3e16, 3e16, 3e16, 1.0], [1 / 3, 1 / 3, 1 / 3, 0.0]),
+            ([0.5, -1e308, -1e308], [1.0, 0.0, 0.0]),
+            ([0.25, 0.0, -1e308, -1e308], [0.625, 0.375, 0.0, 0.0]),
+        ]
+        for x, expected in cases:
+            with np.errstate(over="ignore"):
+                got = project_simplex(x)
+                shifted = project_simplex(np.subtract(x, max(x)))
+            assert got.tobytes() == np.array(expected).tobytes(), x
+            assert got.tobytes() == shifted.tobytes(), x
+
+    def test_large_entries_share_the_mass_among_the_largest(self):
+        rng = np.random.default_rng(53)
+        for _ in range(2000):
+            n = int(rng.integers(1, 8))
+            top = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(15.7, 300.0)
+            x = top - np.abs(np.round(rng.normal(size=n) * 10.0 ** rng.uniform(0.0, 300.0)))
+            x[: int(rng.integers(1, n + 1))] = top
+            largest = x == top
+            expected = largest / np.count_nonzero(largest)
+            assert project_simplex(x).tobytes() == expected.tobytes(), x
+            assert project_simplex(x - top).tobytes() == expected.tobytes(), x
 
 
 class TestBand:

@@ -1,4 +1,5 @@
-"""Returns at any scale give an answer or a FracoptError, never a warning or a foreign exception.
+"""Returns at any scale give an answer or a FracoptError other than NumericalBreakdown,
+never a warning or a foreign exception.
 
 Returns N(+-0.3, 1) * 10**k for k from -323 to 308 run through ``srm_pga``,
 ``run_backtest`` under every strategy, and the ``sharpe`` and ``backtest``
@@ -25,7 +26,7 @@ import fracopt.cli
 from fracopt.backtest import BacktestConfig, load_returns_csv, run_backtest
 from fracopt.cli import main
 from fracopt.core import PgaConfig, Status
-from fracopt.errors import DataError, FracoptError, InvalidParameter
+from fracopt.errors import DataError, FracoptError, InvalidParameter, NumericalBreakdown
 from fracopt.sharpe import build_sharpe_model, srm_pga
 
 STRATEGIES = ("srm-pga", "one-over-n", "market")
@@ -37,12 +38,16 @@ def capped(model):
 
 
 def outcome(fn):
-    """fn's value, or the FracoptError it raised; a RuntimeWarning or other exception propagates."""
+    """fn's value, or the FracoptError it raised; a RuntimeWarning or other exception propagates.
+
+    A NumericalBreakdown fails: valid returns at any scale give an answer or a data error.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
             return fn()
         except FracoptError as exc:
+            assert not isinstance(exc, NumericalBreakdown), exc
             return exc
 
 

@@ -153,6 +153,17 @@ class TestBuildModel:
             with pytest.raises(DegenerateModel, match="float range"):
                 build_sharpe_model(returns_matrix(values), 1e-4)
 
+    def test_singular_gram_lost_to_rounding_degenerate(self):
+        # two rows of five assets at 1e7: Q is singular, and eps_hat = 1e-4 is
+        # below the rounding of w.Q.w beside lambda1 ~ 1e15, so a solve could
+        # meet w.Q.w < 0; the same window at unit scale keeps eps_hat visible
+        values = np.random.default_rng(3).normal(0.3, 1.0, (6, 5))
+        with pytest.raises(DegenerateModel, match=r"2 x 5 returns .* eps_hat 0.0001"):
+            build_sharpe_model(returns_matrix(values[:2] * 1e7), 1e-4)
+        assert srm_pga(build_sharpe_model(returns_matrix(values[:2]), 1e-4)).global_certificate
+        # with N+1 rows the Gram matrix is not singular, and the build goes on
+        build_sharpe_model(returns_matrix(values * 1e7), 1e-4)
+
     def test_mismatched_shapes_rejected_on_construction(self):
         with pytest.raises(DimensionError):
             SharpeModel(np.array([0.1, 0.2]), np.eye(3), 1e-4, 1.0)

@@ -12,13 +12,15 @@ most 1e-9.
 """
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
 
-from fracopt.core import PgaConfig, pga_solve  # noqa: E402
+from fracopt.core import PgaConfig, Status, pga_solve  # noqa: E402
 from fracopt.sharpe import (  # noqa: E402
     build_sharpe_model,
     returns_matrix,
@@ -122,3 +124,26 @@ def test_reference_rejects_a_non_optimal_point():
     p, q = model.p, model.q_eps
     y = np.full(p.size, 1.0 / p.sum())  # feasible, but not the minimizer
     assert kkt_residual(q, p, y) > KKT_TOL
+
+
+def bench_reference():
+    """The benchmark's verified optimum (bench/reference.py), which imports no fracopt."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("k", range(17, 25))
+def test_srm_pga_converges_on_returns_at_large_scales(k):
+    # at these scales the adaptive step's trial points pass 2**53, where the
+    # simplex projection gives the exact answer
+    reference = bench_reference()
+    for seed in range(20):
+        values = np.random.default_rng(seed).normal(0.3, 1.0, (60, 8)) * 10.0**k
+        model = build_sharpe_model(returns_matrix(values))
+        res = srm_pga(model)
+        assert res.result.status is Status.CONVERGED, seed
+        best = reference.max_sharpe(model.p, model.q_eps)[1]
+        assert abs(best - res.sharpe) <= 1e-12 * abs(best), seed
