@@ -16,8 +16,10 @@ therefore runs the adaptive-step iteration by default (Barzilai-Borwein trial
 steps, backtracking on the ratio down to the admissible step, stopped on the
 step-normalised gradient mapping; see :class:`fracopt.core.PgaConfig`).
 Passing ``PgaConfig()`` selects the paper's fixed-step iteration. Both step
-rules start where one solve suffices: equal weights when the means sum to
-more than zero, else the vertex of the largest p_i/sqrt(Q_ii) (``srm_pga``).
+rules start where one solve suffices (``srm_pga``): when some mean is
+positive, at max(p, 0)/diag(Q) normalized, the long-only optimum with Q
+replaced by its diagonal (Cornuejols & Tutuncu's QP form), where the Sharpe
+ratio is positive; else at the vertex of the largest p_i/sqrt(Q_ii).
 
 The problem built by :func:`sharpe_problem` carries an exact face finish,
 which the adaptive iteration tries once for each support of the weights that
@@ -48,6 +50,7 @@ from .errors import (
     DimensionError,
     InsufficientData,
     InvalidParameter,
+    NoConvergence,
     NumericalBreakdown,
 )
 from .linalg import as_vector, dominant_eigenvalue, positive
@@ -140,7 +143,10 @@ def build_sharpe_model(r, eps_hat=1e-4):
     p is the column mean of the returns; the demeaned, 1/sqrt(T-1)-scaled
     matrix forms the Gram term; eps_hat*I regularizes it. Both steps work in
     place on arrays the build allocates, with the rounding of the direct
-    formula. Raises DegenerateModel when the mean, the Gram matrix or lambda1
+    formula. lambda1 comes from the power iteration, or from
+    ``np.linalg.eigvalsh`` when the top eigenvalues lie too close for its
+    sweeps to settle (low-volatility returns, where Q_eps is close to
+    eps_hat*I). Raises DegenerateModel when the mean, the Gram matrix or lambda1
     leaves the float range, when fewer than N+1 rows leave the Gram matrix
     singular and eps_hat is lost to rounding beside lambda1 (so w.Q.w can
     round below zero), or when :class:`SharpeModel` finds no step bound.
@@ -158,6 +164,8 @@ def build_sharpe_model(r, eps_hat=1e-4):
         lambda1 = dominant_eigenvalue(q_eps, tol=_EIG_TOL)
     except InvalidParameter as exc:
         raise DegenerateModel(f"the returns leave the float range: {exc}") from None
+    except NoConvergence:  # top eigenvalues too close to separate: ask LAPACK
+        lambda1 = float(np.linalg.eigvalsh(q_eps)[-1])
     if t - 1 < n and eps_hat <= n * lambda1 * 2.0**-52:
         raise DegenerateModel(
             f"{t} x {n} returns give a singular Gram matrix, and eps_hat {eps_hat} is "
@@ -275,11 +283,16 @@ def srm_pga(model, cfg=None):
     paper's fixed step at 0.99 of the admissible bound with the
     relative-change stop.
 
-    Either step rule solves once. When the means sum to more than zero it
-    starts from equal weights, where the Sharpe ratio is positive, and the
-    monotone descent ends certified with p.w > 0. Otherwise it starts from
-    the vertex of the largest p_i/sqrt(Q_ii): positive when some mean is,
-    else the maximizer of the then quasiconvex ratio, after one iteration.
+    Either step rule solves once. When some mean is positive it starts from
+    w proportional to max(p, 0)/diag(Q), the KKT point of the QP form
+    min y.D.y s.t. p.y = 1, y >= 0 with D the diagonal of Q, at O(N) cost.
+    There p.w is a positive multiple of the sum of p_i**2/Q_ii over p_i > 0,
+    so the Sharpe ratio is positive and the monotone descent ends certified
+    with p.w > 0, at the global maximizer. The start leaves out every asset
+    whose mean is not positive, so the iterates do not begin on the full
+    support, and a diagonal Q is solved after one iteration. When no mean is
+    positive it starts from the vertex of the largest p_i/sqrt(Q_ii), the
+    maximizer of the then quasiconvex ratio, and stops after one iteration.
 
     In adaptive mode the solve usually ends on the exact face finish of
     :func:`sharpe_problem`: once the support of the weights has held for 3
@@ -289,11 +302,17 @@ def srm_pga(model, cfg=None):
     rounding.
     """
     p = model.p
-    if p.sum() > 0.0:
-        x0 = np.full(p.size, 1.0 / p.size)
-    else:
-        x0 = np.zeros(p.size)
-        x0[np.argmax(p / np.sqrt(np.diag(model.q_eps)))] = 1.0
+    d = np.diag(model.q_eps)
+    # a zero variance (a model built without eps_hat) gives no finite start;
+    # the oracle rejects the vertex it leads to
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x0 = np.maximum(p, 0.0) / d
+        total = x0.sum()
+        if 0.0 < total < math.inf:
+            x0 /= total
+        else:  # no positive mean, or weights beyond the float range
+            x0 = np.zeros(p.size)
+            x0[np.argmax(p / np.sqrt(d))] = 1.0
     result = pga_solve(sharpe_problem(model), x0, cfg or PgaConfig(adaptive=True))
     w = result.x_star
     return SrmResult(w, -result.ratio, bool(p @ w >= -1e-12), result)

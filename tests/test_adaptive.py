@@ -7,6 +7,7 @@ stop only where the step-normalised gradient mapping is small.
 
 import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -236,17 +237,59 @@ class TestAdaptiveMode:
         assert res.sharpe >= fixed.sharpe - 1e-9
 
     @pytest.mark.parametrize("cfg", [PgaConfig(), PgaConfig(adaptive=True)])
-    def test_positive_mean_sum_is_solved_from_equal_weights(self, cfg):
-        # asset means of both signs that sum to more than zero
+    def test_positive_mean_is_solved_from_the_diagonal_optimum(self, cfg):
+        # asset means of both signs: the start is the long-only optimum with
+        # Q replaced by its diagonal, max(p, 0) / diag(Q) normalized
         values = np.random.default_rng(41).normal(0.002, 0.04, (40, 9))
         model = build_sharpe_model(returns_matrix(values))
         assert model.p.sum() > 0.0 and model.p.min() < 0.0
+        start = np.maximum(model.p, 0.0) / np.diag(model.q_eps)
+        start /= start.sum()
         res = srm_pga(model, cfg)
-        plain = pga_solve(sharpe_problem(model), np.full(9, 1.0 / 9), cfg)
+        plain = pga_solve(sharpe_problem(model), start, cfg)
         assert np.array_equal(res.weights, plain.x_star)
         assert res.result.ratio == plain.ratio
         assert res.result.iterations == plain.iterations
         assert res.result.status is plain.status
+
+    @pytest.mark.parametrize("cfg", [PgaConfig(), PgaConfig(adaptive=True)])
+    def test_diagonal_q_stops_at_its_closed_form_optimum(self, cfg):
+        # with a diagonal Q the start is the exact optimum, so the first
+        # iteration does not move it
+        rng = np.random.default_rng(12)
+        p = rng.normal(0.002, 0.01, 10)
+        d = rng.uniform(1e-3, 4e-3, 10)
+        model = SharpeModel(p, np.diag(d), 1e-4, float(d.max()))
+        assert p.min() < 0.0 < p.max()
+        best = np.maximum(p, 0.0) / d
+        best /= best.sum()
+        res = srm_pga(model, cfg)
+        assert res.result.iterations == 1
+        assert res.result.status is Status.CONVERGED
+        assert res.global_certificate
+        assert np.allclose(res.weights, best, rtol=0.0, atol=1e-12)
+
+    def test_positive_mean_whose_start_weight_underflows_starts_at_the_vertex(self):
+        # p_1/Q_11 = 1e-300/1e300 underflows to zero, so the diagonal start
+        # has no mass; the vertex of the largest p_i/sqrt(Q_ii) is that asset
+        values = np.array([[1e150, 0.01], [-1e150, -0.02], [3e-300, 0.005]])
+        model = build_sharpe_model(returns_matrix(values))
+        assert model.p[0] > 0.0 > model.p[1]
+        assert not np.any(np.maximum(model.p, 0.0) / np.diag(model.q_eps))
+        for cfg in (None, PgaConfig()):
+            res = srm_pga(model, cfg)
+            assert np.array_equal(res.weights, [1.0, 0.0])
+            assert res.result.status is Status.CONVERGED
+            assert res.global_certificate
+
+    def test_zero_variance_asset_breaks_down_in_the_oracle(self):
+        # Q without eps_hat: the positive-mean asset has no variance, so the
+        # ratio is undefined at its vertex
+        model = SharpeModel(np.array([0.1, 0.2]), np.diag([0.0, 1.0]), 1e-4, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalBreakdown):
+                srm_pga(model)
 
     def test_nan_gradient_breaks_down(self):
         problem = FractionalProblem(
@@ -409,6 +452,12 @@ def test_adaptive_sharpe_properties(n, t, mean, seed):
         assert res.global_certificate
         fixed = srm_pga(model, PgaConfig())
         assert res.sharpe >= fixed.sharpe - 1e-9
+    if model.p.sum() > 0.0:
+        # equal weights are a certified start there too, and lead to the same
+        # global maximum
+        equal = np.full(n, 1.0 / n)
+        plain = pga_solve(sharpe_problem(model), equal, PgaConfig(adaptive=True))
+        assert abs(res.sharpe + plain.ratio) <= 1e-9 * abs(plain.ratio)
 
 
 @settings(max_examples=40, deadline=None)

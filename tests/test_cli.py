@@ -413,7 +413,7 @@ class TestBacktestCommand:
             "backtest", "--data", data, "--strategy", "srm-pga",
             "--window", "20", "--out", str(tmp_path),
         )
-        # periods 21..30 are re-optimized; one iteration cannot converge from equal weights
+        # periods 21..30 are re-optimized; one iteration cannot converge from the start
         assert code == 3
         periods = ", ".join(str(t) for t in range(21, 31))
         assert f"warning: periods {periods} did not converge" in err.splitlines()

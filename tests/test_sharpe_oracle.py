@@ -21,6 +21,8 @@ import pytest
 scipy_optimize = pytest.importorskip("scipy.optimize")
 
 from fracopt.core import PgaConfig, Status, pga_solve  # noqa: E402
+from fracopt.errors import NoConvergence  # noqa: E402
+from fracopt.linalg import dominant_eigenvalue  # noqa: E402
 from fracopt.sharpe import (  # noqa: E402
     build_sharpe_model,
     returns_matrix,
@@ -117,6 +119,24 @@ def test_exact_finish_ends_at_a_kkt_point_in_fewer_iterations(n, seed):
     without = dataclasses.replace(sharpe_problem(model), finish=None)
     plain = pga_solve(without, np.full(n, 1.0 / n), PgaConfig(adaptive=True))
     assert res.result.iterations < plain.iterations
+
+
+@pytest.mark.parametrize("seed", [1, 26, 32, 48])
+def test_srm_pga_solves_low_volatility_returns(seed):
+    # the Gram term is about 1e-7 beside eps_hat = 1e-4, so the top
+    # eigenvalues of Q_eps lie too close for the power iteration to separate
+    # them; the build takes lambda1 from LAPACK instead
+    values = np.random.default_rng(seed).normal(0.005, 0.04, (60, 8)) * 0.01
+    model = build_sharpe_model(returns_matrix(values))
+    with pytest.raises(NoConvergence):
+        dominant_eigenvalue(model.q_eps, tol=1e-8)
+    assert model.lambda1 == np.linalg.eigvalsh(model.q_eps)[-1]
+    best = sharpe_objective(model, max_sharpe_reference(model.q_eps, model.p))
+    res = srm_pga(model)
+    assert res.result.status is Status.CONVERGED
+    assert res.global_certificate
+    gap = (best - res.sharpe) / abs(best)
+    assert abs(gap) <= GAP_TOL, f"relative Sharpe gap {gap:.3g}"
 
 
 def test_reference_rejects_a_non_optimal_point():
