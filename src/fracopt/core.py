@@ -27,12 +27,16 @@ The adaptive rule tries it once for each face the iterate settles on, when
 the zero pattern of the iterate has not changed for a few accepted
 iterations: the active-set identification that proximal gradient reaches in
 finitely many steps (Nutini, Schmidt & Hare), finished by an exact solve on
-the identified face as in Bertsekas's projected Newton methods. A returned
-point is taken only when its ratio is at most the current one, so the
-descent stays monotone, and the solve then stops converged; otherwise the
-iteration continues from the unchanged iterate, and that face is not offered
-again within the solve: its answer would be the same, and the ratio it had
-to beat only falls.
+the identified face as in Bertsekas's projected Newton methods. It also
+tries the face of the iterate where the stop test fires, unless that face
+was offered already: from a start near the optimum the stop can fire before
+any face settles, and the stop's tolerance is then the answer's only
+accuracy. A returned point is taken only when its ratio is at most the
+current one, so the descent stays monotone, and the solve then stops
+converged; otherwise the iteration continues from the unchanged iterate (or
+stops there, where the stop test fired), and that face is not offered again
+within the solve: its answer would be the same, and the ratio it had to beat
+only falls.
 
 The paper's analysis subtracts a lower bound M of the ratio from the
 numerator, which changes no update: :func:`pga_solve_shifted` reports the
@@ -147,9 +151,11 @@ class PgaConfig:
     Stop when the gradient mapping of the ratio ||x+ - x|| / (a*g(x)) <= tol.
     When the problem has a ``finish``, it is called after an accepted
     iteration once the zero pattern of x has been unchanged for 3 accepted
-    iterations, and at most once per zero pattern in a solve. Its point is
-    taken only if its ratio is at most c(x); the solve then stops converged,
-    and the trace ends with that point. The fixed step never calls it.
+    iterations, and after the iteration where the stop test fires, at most
+    once per zero pattern in a solve. Its point is taken only if its ratio
+    is at most c(x); the solve then stops converged, with the iteration
+    count of that iteration, and the trace ends with that point. The fixed
+    step never calls it.
     """
 
     alpha: Optional[float] = None
@@ -286,29 +292,28 @@ def _run_pga(problem, x0, cfg):
             base = math.sqrt(float(x @ x))
             measure = move / base if base > 0.0 else move
         x, c, gx = x_next, c_next, g_next
-        if measure <= cfg.tol:
+        stop = measure <= cfg.tol
+        if finish is not None:
+            zeros_next = (x == 0.0).tobytes()
+            settled = settled + 1 if zeros_next == zeros else 0
+            zeros = zeros_next
+            # offered where the face has settled, and where the stop fires:
+            # a stop near the start can come before any face settles
+            if (stop or settled == _FINISH_LAG) and zeros not in declined:
+                x_fin = finish(x)
+                c_fin = None if x_fin is None else problem.ratio(x_fin)
+                if c_fin is not None and c_fin <= c:
+                    if trace is not None:
+                        trace.iterates.append(x)
+                        trace.ratios.append(c)
+                    x, c = x_fin, c_fin
+                    stop = True
+                else:
+                    declined.add(zeros)
+        if stop:
             status = Status.CONVERGED
             iterations = k
             break
-        if finish is None:
-            continue
-        zeros_next = (x == 0.0).tobytes()
-        settled = settled + 1 if zeros_next == zeros else 0
-        zeros = zeros_next
-        if settled != _FINISH_LAG or zeros in declined:
-            continue
-        x_fin = finish(x)
-        if x_fin is not None:
-            c_fin = problem.ratio(x_fin)
-            if c_fin <= c:
-                if trace is not None:
-                    trace.iterates.append(x)
-                    trace.ratios.append(c)
-                x, c = x_fin, c_fin
-                status = Status.CONVERGED
-                iterations = k
-                break
-        declined.add(zeros)
     if trace is not None:
         trace.iterates.append(x)
         trace.ratios.append(c)

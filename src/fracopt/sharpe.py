@@ -17,18 +17,22 @@ steps, backtracking on the ratio down to the admissible step, stopped on the
 step-normalised gradient mapping; see :class:`fracopt.core.PgaConfig`).
 Passing ``PgaConfig()`` selects the paper's fixed-step iteration. Both step
 rules start where one solve suffices (``srm_pga``): when some mean is
-positive, at max(p, 0)/diag(Q) normalized, the long-only optimum with Q
-replaced by its diagonal (Cornuejols & Tutuncu's QP form), where the Sharpe
-ratio is positive; else at the vertex of the largest p_i/sqrt(Q_ii).
+positive, at the tangency portfolio Q^-1 p clipped to the long-only set,
+max(Q^-1 p, 0) normalized, when the Sharpe ratio is positive there (Q^-1 p
+solves Cornuejols & Tutuncu's QP form without its bound y >= 0); else at
+max(p, 0)/diag(Q) normalized, the long-only optimum with Q replaced by its
+diagonal, where the Sharpe ratio is positive; else at the vertex of the
+largest p_i/sqrt(Q_ii). A positive ratio at the start certifies the answer.
 
 The problem built by :func:`sharpe_problem` carries an exact face finish,
 which the adaptive iteration tries once for each support of the weights that
-settles. On the support S it solves Q_SS z = p_S, the tangency portfolio of
-that face, and offers w = z/sum(z) when z > 0 and every off-support
-multiplier of the QP form min y.Q.y s.t. p.y = 1, y >= 0 is nonnegative;
-those are the KKT conditions of the long-only optimum (z > 0 gives
-p.z = z.Q_SS.z > 0), so the offered point is the maximiser. The answer
-depends on the support alone, not on where the weights sit on it.
+settles, and on the support where its stop test fires. On the support S it
+solves Q_SS z = p_S, the tangency portfolio of that face, and offers
+w = z/sum(z) when z > 0 and every off-support multiplier of the QP form
+min y.Q.y s.t. p.y = 1, y >= 0 is nonnegative; those are the KKT conditions
+of the long-only optimum (z > 0 gives p.z = z.Q_SS.z > 0), so the offered
+point is the maximiser. The answer depends on the support alone, not on
+where the weights sit on it.
 
 Each dense product is formed once. ``build_sharpe_model`` demeans, scales
 and regularizes the Gram matrix in place and hands it to the power
@@ -273,6 +277,38 @@ class SrmResult:
     result: SolveResult
 
 
+def _start(model):
+    """The start of :func:`srm_pga`, each tier certified by p.w > 0 where some mean is positive.
+
+    The clipped tangency portfolio max(Q^-1 p, 0) normalized, when Q is invertible in
+    float64, its mass is positive and finite and p.w > 0 there; else max(p, 0)/diag(Q)
+    normalized; else the vertex of the largest p_i/sqrt(Q_ii).
+    """
+    p = model.p
+    # a zero pivot, a zero variance (a model built without eps_hat) or weights
+    # beyond the float range only move the start down a tier; the oracle
+    # rejects a vertex it cannot evaluate
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        try:
+            x0 = np.maximum(np.linalg.solve(model.q_eps, p), 0.0)
+        except np.linalg.LinAlgError:  # Q_eps is singular in float64
+            x0 = np.zeros(p.size)
+        total = x0.sum()
+        if 0.0 < total < math.inf:
+            x0 /= total
+            if p @ x0 > 0.0:
+                return x0
+        d = np.diag(model.q_eps)
+        x0 = np.maximum(p, 0.0) / d
+        total = x0.sum()
+        if 0.0 < total < math.inf:
+            x0 /= total
+        else:  # no positive mean, or weights beyond the float range
+            x0 = np.zeros(p.size)
+            x0[np.argmax(p / np.sqrt(d))] = 1.0
+    return x0
+
+
 def srm_pga(model, cfg=None):
     """Run the proximal gradient iteration on a Sharpe model.
 
@@ -283,36 +319,30 @@ def srm_pga(model, cfg=None):
     paper's fixed step at 0.99 of the admissible bound with the
     relative-change stop.
 
-    Either step rule solves once. When some mean is positive it starts from
-    w proportional to max(p, 0)/diag(Q), the KKT point of the QP form
-    min y.D.y s.t. p.y = 1, y >= 0 with D the diagonal of Q, at O(N) cost.
-    There p.w is a positive multiple of the sum of p_i**2/Q_ii over p_i > 0,
-    so the Sharpe ratio is positive and the monotone descent ends certified
-    with p.w > 0, at the global maximizer. The start leaves out every asset
-    whose mean is not positive, so the iterates do not begin on the full
-    support, and a diagonal Q is solved after one iteration. When no mean is
-    positive it starts from the vertex of the largest p_i/sqrt(Q_ii), the
+    Either step rule solves once, from a start where the Sharpe ratio is
+    positive whenever some mean is positive. The first choice is the
+    tangency portfolio Q^-1 p, which solves the QP form min y.Q.y s.t.
+    p.y = 1 without its bound y >= 0, clipped to the long-only set: w
+    proportional to max(Q^-1 p, 0), at the cost of one LU solve. It is taken
+    when Q is invertible in float64, the clipped weights have positive,
+    finite mass and p.w > 0 there; clipping can make p.w negative, so that
+    last test is what certifies it. Where Q^-1 p is long-only it is the
+    optimum itself, and elsewhere it usually lies on or near the optimal
+    face. Otherwise the start is w proportional to max(p, 0)/diag(Q), the
+    KKT point of the QP form with Q replaced by its diagonal, where p.w is a
+    positive multiple of the sum of p_i**2/Q_ii over p_i > 0. From either
+    start the monotone descent ends certified with p.w > 0, at the global
+    maximizer, and a diagonal Q is solved after one iteration. When no mean
+    is positive it starts from the vertex of the largest p_i/sqrt(Q_ii), the
     maximizer of the then quasiconvex ratio, and stops after one iteration.
 
     In adaptive mode the solve usually ends on the exact face finish of
     :func:`sharpe_problem`: once the support of the weights has held for 3
-    accepted iterations, the face optimum is computed in closed form, once
-    per support, and taken when its KKT conditions hold and its Sharpe ratio
-    is no lower. The status is then CONVERGED and the weights are exact to
-    rounding.
+    accepted iterations, and at the iterate where the stop test fires, the
+    face optimum is computed in closed form, once per support, and taken
+    when its KKT conditions hold and its Sharpe ratio is no lower. The
+    status is then CONVERGED and the weights are exact to rounding.
     """
-    p = model.p
-    d = np.diag(model.q_eps)
-    # a zero variance (a model built without eps_hat) gives no finite start;
-    # the oracle rejects the vertex it leads to
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x0 = np.maximum(p, 0.0) / d
-        total = x0.sum()
-        if 0.0 < total < math.inf:
-            x0 /= total
-        else:  # no positive mean, or weights beyond the float range
-            x0 = np.zeros(p.size)
-            x0[np.argmax(p / np.sqrt(d))] = 1.0
-    result = pga_solve(sharpe_problem(model), x0, cfg or PgaConfig(adaptive=True))
+    result = pga_solve(sharpe_problem(model), _start(model), cfg or PgaConfig(adaptive=True))
     w = result.x_star
-    return SrmResult(w, -result.ratio, bool(p @ w >= -1e-12), result)
+    return SrmResult(w, -result.ratio, bool(model.p @ w >= -1e-12), result)

@@ -236,21 +236,71 @@ class TestAdaptiveMode:
         assert res.sharpe > 0.0
         assert res.sharpe >= fixed.sharpe - 1e-9
 
-    @pytest.mark.parametrize("cfg", [PgaConfig(), PgaConfig(adaptive=True)])
-    def test_positive_mean_is_solved_from_the_diagonal_optimum(self, cfg):
-        # asset means of both signs: the start is the long-only optimum with
-        # Q replaced by its diagonal, max(p, 0) / diag(Q) normalized
-        values = np.random.default_rng(41).normal(0.002, 0.04, (40, 9))
-        model = build_sharpe_model(returns_matrix(values))
-        assert model.p.sum() > 0.0 and model.p.min() < 0.0
-        start = np.maximum(model.p, 0.0) / np.diag(model.q_eps)
-        start /= start.sum()
+    @staticmethod
+    def assert_solved_from(model, start, cfg):
         res = srm_pga(model, cfg)
         plain = pga_solve(sharpe_problem(model), start, cfg)
-        assert np.array_equal(res.weights, plain.x_star)
+        assert res.weights.tobytes() == plain.x_star.tobytes()
         assert res.result.ratio == plain.ratio
         assert res.result.iterations == plain.iterations
         assert res.result.status is plain.status
+        return res
+
+    @pytest.mark.parametrize("cfg", [PgaConfig(), PgaConfig(adaptive=True)])
+    def test_positive_mean_is_solved_from_the_clipped_tangency_portfolio(self, cfg):
+        # asset means of both signs: the start is the tangency portfolio
+        # Q^-1 p clipped to the long-only set, max(Q^-1 p, 0) normalized,
+        # where p.w > 0; it is not the diagonal optimum
+        values = np.random.default_rng(41).normal(0.002, 0.04, (40, 9))
+        model = build_sharpe_model(returns_matrix(values))
+        assert model.p.sum() > 0.0 and model.p.min() < 0.0
+        tangency = np.linalg.solve(model.q_eps, model.p)
+        assert tangency.min() < 0.0 < tangency.max()
+        start = np.maximum(tangency, 0.0)
+        start /= start.sum()
+        assert model.p @ start > 0.0
+        diagonal = np.maximum(model.p, 0.0) / np.diag(model.q_eps)
+        assert not np.array_equal(start > 0.0, diagonal > 0.0)
+        res = self.assert_solved_from(model, start, cfg)
+        assert res.global_certificate
+
+    @pytest.mark.parametrize("cfg", [PgaConfig(), PgaConfig(adaptive=True)])
+    def test_uncertified_tangency_start_falls_back_to_the_diagonal_optimum(self, cfg):
+        # two positive means, yet p.w <= 0 at the clipped tangency portfolio,
+        # so the start is max(p, 0) / diag(Q) normalized
+        rng = np.random.default_rng(36)
+        values = rng.normal(0.0, 0.04, (40, 8)) + rng.uniform(-0.03, 0.005, 8)
+        model = build_sharpe_model(returns_matrix(values))
+        assert (model.p > 0.0).sum() == 2
+        tangency = np.maximum(np.linalg.solve(model.q_eps, model.p), 0.0)
+        assert model.p @ (tangency / tangency.sum()) <= 0.0
+        start = np.maximum(model.p, 0.0) / np.diag(model.q_eps)
+        start /= start.sum()
+        res = self.assert_solved_from(model, start, cfg)
+        assert res.global_certificate
+
+    def test_singular_q_starts_from_the_diagonal_optimum(self, monkeypatch):
+        # Q has no inverse in float64, so there is no tangency portfolio: no
+        # LinAlgError, and the start is the diagonal optimum
+        p = np.array([0.1, -0.05, 0.2])
+        model = SharpeModel(p, np.ones((3, 3)), 1e-4, 3.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(model.q_eps, p)
+        starts = []
+
+        def counted(problem, x0, cfg):
+            starts.append(x0)
+            return pga_solve(problem, x0, cfg)
+
+        monkeypatch.setattr("fracopt.sharpe.pga_solve", counted)
+        for cfg in (None, PgaConfig()):
+            starts.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                res = srm_pga(model, cfg)
+            assert len(starts) == 1
+            assert np.array_equal(starts[0], [1.0 / 3.0, 0.0, 2.0 / 3.0])
+            assert res.global_certificate
 
     @pytest.mark.parametrize("cfg", [PgaConfig(), PgaConfig(adaptive=True)])
     def test_diagonal_q_stops_at_its_closed_form_optimum(self, cfg):
@@ -375,6 +425,52 @@ class TestExactFinish:
 
         res = self.solve(problem, declines)
         assert len(calls) == len(set(calls)) == settled - 1
+        assert res.iterations == base.iterations
+        assert trace_digest(res.trace) == trace_digest(base.trace)
+
+    def test_finish_is_offered_where_the_stop_fires(self):
+        # returns at 1e-4: from the clipped tangency portfolio the stop fires
+        # after one iteration, before any face settles; the finish is asked
+        # there once, and its exact face optimum ends the solve
+        values = np.random.default_rng(2).normal(0.3, 1.0, (60, 8)) * 1e-4
+        model = build_sharpe_model(returns_matrix(values))
+        problem = sharpe_problem(model)
+        start = np.maximum(np.linalg.solve(model.q_eps, model.p), 0.0)
+        start /= start.sum()
+        cfg = PgaConfig(adaptive=True, record_trace=True)
+        base = pga_solve(dataclasses.replace(problem, finish=None), start, cfg)
+        assert base.status is Status.CONVERGED
+        assert base.iterations == 1
+        assert settled_faces(base.trace.iterates[1:]) == 0
+        calls = []
+
+        def counted(x):
+            calls.append(x.copy())
+            return problem.finish(x)
+
+        res = pga_solve(dataclasses.replace(problem, finish=counted), start, cfg)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], base.x_star)
+        assert res.status is Status.CONVERGED
+        assert res.iterations == base.iterations
+        assert np.array_equal(res.trace.iterates[-2], base.x_star)
+        assert res.ratio < base.ratio
+
+    def test_declined_face_is_not_offered_again_where_the_stop_fires(self):
+        # from equal weights the iterates settle on the face where the stop
+        # later fires; the finish declined there is not asked again at the stop
+        problem = sharpe_problem(self.model())
+        base = self.solve(problem, None)
+        assert settled_faces(base.trace.iterates[1:]) == 1
+        calls = []
+
+        def declines(x):
+            calls.append((x == 0.0).tobytes())
+            return None
+
+        res = self.solve(problem, declines)
+        assert calls == [(base.x_star == 0.0).tobytes()]
+        assert res.status is Status.CONVERGED
         assert res.iterations == base.iterations
         assert trace_digest(res.trace) == trace_digest(base.trace)
 

@@ -397,7 +397,7 @@ class TestRunBacktest:
         rng = np.random.default_rng(151)
         values = rng.normal(0.005, 0.04, size=(30, 6))
         report = run_backtest(returns_matrix(values), BacktestConfig(window=20))
-        # periods 21..30 are re-optimized; one iteration cannot converge from equal weights
+        # periods 21..30 are re-optimized; one iteration cannot converge from the start
         assert report.nonconverged_periods == tuple(range(21, 31))
         for strategy in ("one-over-n", "market"):
             other = run_backtest(returns_matrix(values), BacktestConfig(window=20, strategy=strategy))

@@ -1,12 +1,13 @@
 """Returns at any scale give an answer or a FracoptError other than NumericalBreakdown,
 never a warning or a foreign exception.
 
-Returns N(+-0.3, 1) * 10**k for k from -323 to 308 run through ``srm_pga``,
-``run_backtest`` under every strategy, and the ``sharpe`` and ``backtest``
-commands. The solver is capped at a few iterations, as in
-``test_nonconverged_periods_reported``: two-period windows at large scales
-otherwise run the whole iteration budget, and a capped solve is still an
-answer to judge.
+Returns N(+-0.3, 1) * 10**k for k from -323 to 308, some with one more column
+that repeats the first one rescaled (a Gram matrix singular with T - 1 >= N),
+run through ``srm_pga``, ``run_backtest`` under every strategy, and the
+``sharpe`` and ``backtest`` commands. The solver is capped at a few
+iterations, as in ``test_nonconverged_periods_reported``: two-period windows
+at large scales otherwise run the whole iteration budget, and a capped solve
+is still an answer to judge.
 """
 
 import contextlib
@@ -109,19 +110,25 @@ def capped_solver(monkeypatch):
     mean=st.sampled_from([0.3, -0.3]),
     seed=st.integers(0, 2**32 - 1),
     strategy=st.sampled_from(STRATEGIES),
+    duplicate=st.sampled_from([None, 1.0, -0.5, 3.0]),
 )
-@example(k=155, t=10, n=3, mean=0.3, seed=0, strategy="srm-pga")
-@example(k=154, t=10, n=3, mean=0.3, seed=1, strategy="srm-pga")
-@example(k=100, t=10, n=2, mean=0.3, seed=0, strategy="one-over-n")
-@example(k=100, t=10, n=2, mean=0.3, seed=0, strategy="market")
-@example(k=7, t=6, n=5, mean=0.3, seed=3, strategy="srm-pga")
-@example(k=17, t=8, n=4, mean=0.3, seed=2, strategy="srm-pga")
-@example(k=-170, t=6, n=3, mean=0.3, seed=0, strategy="srm-pga")
-@example(k=-320, t=6, n=3, mean=-0.3, seed=0, strategy="market")
-@example(k=308, t=4, n=2, mean=0.3, seed=0, strategy="one-over-n")
-def test_every_scale_answers_or_raises_a_fracopt_error(k, t, n, mean, seed, strategy):
+@example(k=155, t=10, n=3, mean=0.3, seed=0, strategy="srm-pga", duplicate=None)
+@example(k=154, t=10, n=3, mean=0.3, seed=1, strategy="srm-pga", duplicate=None)
+@example(k=100, t=10, n=2, mean=0.3, seed=0, strategy="one-over-n", duplicate=None)
+@example(k=100, t=10, n=2, mean=0.3, seed=0, strategy="market", duplicate=None)
+@example(k=7, t=6, n=5, mean=0.3, seed=3, strategy="srm-pga", duplicate=None)
+@example(k=17, t=8, n=4, mean=0.3, seed=2, strategy="srm-pga", duplicate=None)
+@example(k=-170, t=6, n=3, mean=0.3, seed=0, strategy="srm-pga", duplicate=None)
+@example(k=-320, t=6, n=3, mean=-0.3, seed=0, strategy="market", duplicate=None)
+@example(k=308, t=4, n=2, mean=0.3, seed=0, strategy="one-over-n", duplicate=None)
+@example(k=100, t=13, n=3, mean=0.3, seed=0, strategy="srm-pga", duplicate=3.0)
+@example(k=150, t=13, n=3, mean=0.3, seed=0, strategy="srm-pga", duplicate=-0.5)
+def test_every_scale_answers_or_raises_a_fracopt_error(k, t, n, mean, seed, strategy, duplicate):
     with np.errstate(over="ignore"):
         values = np.random.default_rng(seed).normal(mean, 1.0, (t, n)) * 10.0**k
+        if duplicate is not None:  # a collinear column: singular Gram matrix with T - 1 >= N
+            values = np.column_stack([values, duplicate * values[:, 0]])
+    n = values.shape[1]
     with tempfile.TemporaryDirectory() as out:
         path = str(Path(out) / "returns.csv")
         header = ",".join(f"A{j}" for j in range(n))

@@ -139,6 +139,21 @@ def test_srm_pga_solves_low_volatility_returns(seed):
     assert abs(gap) <= GAP_TOL, f"relative Sharpe gap {gap:.3g}"
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_srm_pga_solves_returns_at_a_small_scale(seed):
+    # at 1e-4 the ratio gradient is small beside the absolute stopping tol, so
+    # the stop fires after one iteration; the face finish offered there makes
+    # that answer exact
+    values = np.random.default_rng(seed).normal(0.3, 1.0, (60, 8)) * 1e-4
+    model = build_sharpe_model(returns_matrix(values))
+    best = sharpe_objective(model, max_sharpe_reference(model.q_eps, model.p))
+    res = srm_pga(model)
+    assert res.result.status is Status.CONVERGED
+    assert res.global_certificate
+    gap = (best - res.sharpe) / abs(best)
+    assert abs(gap) <= 1e-12, f"relative Sharpe gap {gap:.3g}"
+
+
 def test_reference_rejects_a_non_optimal_point():
     model = build_sharpe_model(returns_matrix(factor_panel(8, 17)))
     p, q = model.p, model.q_eps
