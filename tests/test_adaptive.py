@@ -265,9 +265,10 @@ class TestAdaptiveMode:
         assert res.global_certificate
 
     @pytest.mark.parametrize("cfg", [PgaConfig(), PgaConfig(adaptive=True)])
-    def test_uncertified_tangency_start_falls_back_to_the_diagonal_optimum(self, cfg):
+    def test_positive_mean_is_solved_from_the_diagonal_optimum(self, cfg):
         # two positive means, yet p.w <= 0 at the clipped tangency portfolio,
-        # so the start is max(p, 0) / diag(Q) normalized
+        # so that start is uncertified and srm_pga falls back to the long-only
+        # optimum with Q replaced by its diagonal, max(p, 0) / diag(Q) normalized
         rng = np.random.default_rng(36)
         values = rng.normal(0.0, 0.04, (40, 8)) + rng.uniform(-0.03, 0.005, 8)
         model = build_sharpe_model(returns_matrix(values))
