@@ -16,11 +16,13 @@ accepted as is. The two step rules differ only in the trial step and the
 stopping test. The fixed rule (the paper's path and the default of
 :func:`pga_solve`) tries alpha itself, so each step takes one projection,
 and stops on the relative iterate change. The adaptive rule
-(``PgaConfig(adaptive=True)``) tries a Barzilai-Borwein (spectral) step
-(after Birgin, Martinez & Raydan's spectral projected gradient and Bot &
-Csetnek's proximal-gradient methods for fractional programs) and stops on
-the step-normalised gradient mapping of the ratio, which, unlike the
-relative iterate change, does not shrink with the step size.
+(``PgaConfig(adaptive=True)``) tries 1/g(x0), the unit step on the ratio,
+and then Barzilai-Borwein (spectral) steps (after Birgin, Martinez &
+Raydan's spectral projected gradient and Bot & Csetnek's proximal-gradient
+methods for fractional programs), and stops on the step-normalised gradient
+mapping of the ratio, which, unlike the relative iterate change, does not
+shrink with the step size. So no part of it changes when f and g scale by a
+power of two and the step bound by its reciprocal.
 
 A problem may also supply an exact face finish (``FractionalProblem.finish``).
 The adaptive rule tries it once for each face the iterate settles on, when
@@ -58,11 +60,9 @@ from .errors import (
 )
 from .linalg import as_vector, integer, nonnegative, positive
 
-# Adaptive step: first trial step, Armijo constant of the ratio decrease test,
-# growth factor used when the last move shows no positive curvature, and the
-# cap on trial steps (the safeguard of Birgin, Martinez & Raydan's spectral
-# projected gradient).
-_FIRST_STEP = 1.0
+# Adaptive step: Armijo constant of the ratio decrease test, growth factor
+# when the last move shows no positive curvature, and the trial step cap
+# (the safeguard of Birgin, Martinez & Raydan's spectral projected gradient).
 _SIGMA = 1e-4
 _GROWTH = 2.0
 _MAX_STEP = 1e30
@@ -146,7 +146,7 @@ class PgaConfig:
     iterate is the zero vector).
 
     Adaptive step (``adaptive=True``): with d = grad_f - c*grad_g, the first
-    trial step is a = 1, each later one the Barzilai-Borwein step
+    trial step is a = 1/g(x0), each later one the Barzilai-Borwein step
     ||s||^2 / s.y (s = x+ - x, y = d+ - d), doubled instead when s.y <= 0.
     Stop when the gradient mapping of the ratio ||x+ - x|| / (a*g(x)) <= tol.
     When the problem has a ``finish``, it is called after an accepted
@@ -256,16 +256,16 @@ def _run_pga(problem, x0, cfg):
         grad_n = grad_f(x)
         grad_d = grad_g(x)
         if adaptive:
-            # d/g(x) is the gradient of the ratio; the trial step is the
-            # Barzilai-Borwein step of the last move, grown instead when the
-            # move shows no curvature
+            # d/g(x) is the gradient of the ratio; the first trial step 1/g(x)
+            # is the unit step on it, each later one the Barzilai-Borwein step
+            # of the last move, grown instead when the move shows no curvature
             d_next = grad_n - c * grad_d
             if k == 1:
-                step = _FIRST_STEP
+                step = 1.0 / gx
             else:
                 curvature = float(diff @ (d_next - d))
                 step = move * move / curvature if curvature > 0.0 else _GROWTH * step
-                step = min(step, _MAX_STEP)
+            step = min(step, _MAX_STEP)
             d = d_next
         # step search: halve the trial until the ratio decreases sufficiently,
         # never below alpha, where the step is accepted as is

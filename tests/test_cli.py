@@ -536,7 +536,7 @@ class TestExitCategories:
         assert err.startswith("error: period 3: ") and err.count("\n") == 1 and "eps_hat" in err
 
     def test_large_returns_solve_with_a_certificate(self, capsys, tmp_path):
-        # at 1e18 the adaptive solve's trial points pass 2**53
+        # the adaptive steps scale with the returns, so 1e18 solves as unit returns do
         path = tmp_path / "large.csv"
         values = np.random.default_rng(0).normal(0.3, 1.0, (60, 8)) * 1e18
         np.savetxt(path, values, delimiter=",", header="A,B,C,D,E,F,G,H", comments="")

@@ -13,6 +13,7 @@ most 1e-9.
 
 import dataclasses
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -170,15 +171,58 @@ def bench_reference():
     return module
 
 
-@pytest.mark.parametrize("k", range(17, 25))
+def reference_sharpe(reference, model):
+    """The reference optimum of the model, taken on it rescaled to unit size.
+
+    p * 2**-a and Q_eps * 2**-b with b even are exact outside the subnormal
+    range, keep the argmax and scale the Sharpe ratio by 2**(b/2 - a).
+    """
+    a = math.frexp(float(np.linalg.norm(model.p)))[1]
+    b = 2 * (math.frexp(float(model.q_eps.diagonal().max()))[1] // 2)
+    best = reference.max_sharpe(np.ldexp(model.p, -a), np.ldexp(model.q_eps, -b))[1]
+    return math.ldexp(best, a - b // 2)
+
+
+def mixed_sign_returns(seed):
+    return np.random.default_rng([seed, 12]).normal(0.05, 1.0, (60, 8))
+
+
+# seeds of mixed_sign_returns whose first iteration passed the stop test short
+# of the optimum, reported converged and certified, while the first trial step
+# was 1 at every scale
+MIXED_SIGN_SEEDS = {
+    5: (30, 149, 339),
+    20: (30, 133, 149, 295, 320, 339),
+    100: (30, 133, 149, 295, 320, 339),
+}
+
+
+@pytest.mark.parametrize("k", [5, *range(17, 25), 100])
 def test_srm_pga_converges_on_returns_at_large_scales(k):
-    # at these scales the adaptive step's trial points pass 2**53, where the
-    # simplex projection gives the exact answer
+    # the stop test and every trial step scale with the returns, so large
+    # returns solve like unit ones
+    panels = [np.random.default_rng(seed).normal(0.3, 1.0, (60, 8)) for seed in range(20)]
+    panels += [mixed_sign_returns(seed) for seed in MIXED_SIGN_SEEDS.get(k, ())]
     reference = bench_reference()
-    for seed in range(20):
-        values = np.random.default_rng(seed).normal(0.3, 1.0, (60, 8)) * 10.0**k
-        model = build_sharpe_model(returns_matrix(values))
+    for i, values in enumerate(panels):
+        model = build_sharpe_model(returns_matrix(values * 10.0**k))
         res = srm_pga(model)
-        assert res.result.status is Status.CONVERGED, seed
-        best = reference.max_sharpe(model.p, model.q_eps)[1]
-        assert abs(best - res.sharpe) <= 1e-12 * abs(best), seed
+        assert res.result.status is Status.CONVERGED, i
+        best = reference_sharpe(reference, model)
+        assert abs(best - res.sharpe) <= 1e-12 * abs(best), i
+
+
+@pytest.mark.parametrize("k", [-30, -8, 8, 17, 40, 60, 100])
+def test_srm_pga_is_invariant_under_power_of_two_scaling(k):
+    # returns * 2**k with eps_hat * 4**k scale f and g by 2**k and the step
+    # bound by 2**-k; the adaptive rule's first trial step 1/g(x0) scales with
+    # them, so every step, stop and face finish is the unscaled one
+    for seed in range(40):
+        values = mixed_sign_returns(seed)
+        base = srm_pga(build_sharpe_model(returns_matrix(values)))
+        scaled = build_sharpe_model(
+            returns_matrix(np.ldexp(values, k)), eps_hat=math.ldexp(1e-4, 2 * k)
+        )
+        res = srm_pga(scaled)
+        assert np.array_equal(res.weights, base.weights), seed
+        assert res.result.iterations == base.result.iterations, seed
