@@ -26,6 +26,7 @@ from .errors import (
     DegenerateSeries,
     FracoptError,
     InsufficientData,
+    InvalidParameter,
     ParseError,
     WealthWipeout,
 )
@@ -275,9 +276,11 @@ def report_to_json(report, path):
 
 
 def report_to_csv(report, path, asset_labels=None):
-    """Write the per-period return, wealth, and weights at full precision."""
+    """Write each period's return, wealth and weights at full precision, one label per weight."""
     n = report.weights_history.shape[1]
     labels = list(asset_labels) if asset_labels else [f"A{j + 1}" for j in range(n)]
+    if len(labels) != n:
+        raise InvalidParameter(f"{len(labels)} asset labels for {n} weight columns")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["period", "realized_return", "wealth"] + [f"w_{a}" for a in labels])

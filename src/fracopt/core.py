@@ -10,6 +10,9 @@ gradient-Lipschitz constant of the shifted numerator); with that bound the
 ratio decreases monotonically along the iterates and the sequence converges
 to a fixed point of the update map.
 
+The loop checks each trial point with the errors of ``FractionalProblem.ratio``
+and raises NumericalBreakdown, naming the iteration, on a NaN or Inf update.
+
 Every iteration runs one step search. A trial step a is halved until the
 ratio decreases sufficiently, but never below alpha, where the step is
 accepted as is. The two step rules differ only in the trial step and the
@@ -219,24 +222,17 @@ def _resolve_alpha(problem, cfg):
     return alpha
 
 
-def _project_update(projection, step_dir, k):
-    # a NaN or Inf anywhere makes the sum non-finite; np.add.reduce is the
-    # reduction ndarray.sum wraps
-    if not math.isfinite(np.add.reduce(step_dir)):
-        raise NumericalBreakdown(f"non-finite update at iteration {k}")
-    return projection(step_dir)
-
-
 def _run_pga(problem, x0, cfg):
     """The solver loop of both step rules."""
     alpha = _resolve_alpha(problem, cfg)
     # infeasible starts are totalized by one projection
     x = problem.projection(as_vector(x0, problem.dimension, "x0"))
     trace = SolveTrace() if cfg.record_trace else None
-    adaptive = cfg.adaptive
-    f_and_g = problem._f_and_g
-    projection = problem.projection
-    grad_f, grad_g = problem.grad_f, problem.grad_g
+    adaptive, tol = cfg.adaptive, cfg.tol
+    # bound once: on 2-d problems the loop's cost is mostly lookups and calls
+    f_and_g, projection = problem._f_and_g, problem.projection
+    eval_f, eval_g, grad_f, grad_g = problem.eval_f, problem.eval_g, problem.grad_f, problem.grad_g
+    sqrt, isfinite, add_reduce = math.sqrt, math.isfinite, np.add.reduce
 
     finish = problem.finish if adaptive else None
     # zero pattern of x, and the accepted iterations it has held since it
@@ -263,7 +259,7 @@ def _run_pga(problem, x0, cfg):
             if k == 1:
                 step = 1.0 / gx
             else:
-                curvature = float(diff @ (d_next - d))
+                curvature = float(diff.dot(d_next - d))
                 step = move * move / curvature if curvature > 0.0 else _GROWTH * step
             step = min(step, _MAX_STEP)
             d = d_next
@@ -273,15 +269,22 @@ def _run_pga(problem, x0, cfg):
             if not step > alpha:
                 step = alpha
             step_dir = x - step * grad_n + (step * c) * grad_d
-            x_next = _project_update(projection, step_dir, k)
-            f_next, g_next = f_and_g(x_next)
+            # a NaN or Inf anywhere makes the sum (np.add.reduce) non-finite
+            if not isfinite(add_reduce(step_dir)):
+                raise NumericalBreakdown(f"non-finite update at iteration {k}")
+            x_next = projection(step_dir)
+            # _f_and_g's checks; it is called only to raise its own error
+            g_next = float(eval_g(x_next))
+            f_next = float(eval_f(x_next)) if g_next > 0.0 else math.nan
+            if f_next != f_next:
+                f_next, g_next = f_and_g(x_next)
             c_next = f_next / g_next
             diff = x_next - x
-            dd = float(diff @ diff)
+            dd = diff.dot(diff)
             if step == alpha or c_next <= c - _SIGMA * dd / (step * gx):
                 break
             step *= 0.5
-        move = math.sqrt(dd)
+        move = sqrt(dd)
         if trace is not None:
             trace.iterates.append(x)
             trace.ratios.append(c)
@@ -289,10 +292,10 @@ def _run_pga(problem, x0, cfg):
             # gradient mapping of the ratio, whose own step is step*g(x)
             measure = move / (step * gx)
         else:
-            base = math.sqrt(float(x @ x))
+            base = sqrt(x.dot(x))
             measure = move / base if base > 0.0 else move
         x, c, gx = x_next, c_next, g_next
-        stop = measure <= cfg.tol
+        stop = measure <= tol
         if finish is not None:
             zeros_next = (x == 0.0).tobytes()
             settled = settled + 1 if zeros_next == zeros else 0

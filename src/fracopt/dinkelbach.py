@@ -34,12 +34,13 @@ class DinkelbachConfig:
 
 def _projected_gradient(problem, c, x, step, tol, max_iter):
     """Minimize f + c*g from x by fixed-step projected gradient descent."""
+    grad_f, grad_g, project, sqrt = problem.grad_f, problem.grad_g, problem.projection, math.sqrt
     for _ in range(int(max_iter)):
-        grad = problem.grad_f(x) + c * problem.grad_g(x)
-        x_next = problem.projection(x - step * grad)
+        grad = grad_f(x) + c * grad_g(x)
+        x_next = project(x - step * grad)
         diff = x_next - x
-        move = math.sqrt(float(diff @ diff))
-        base = math.sqrt(float(x @ x))
+        move = sqrt(diff.dot(diff))
+        base = sqrt(x.dot(x))
         rel = move / base if base > 0.0 else move
         x = x_next
         if rel <= tol:

@@ -100,22 +100,24 @@ def build_sim2(params):
     # the gradient factors 2*a_i, formed once
     d1, d2, d4, d5 = 2.0 * a1, 2.0 * a2, 2.0 * a4, 2.0 * a5
 
-    # diagonal quadratics expanded in coordinates on Python floats: cheaper
-    # than matmuls on 2-vectors and this path runs every solver iteration;
-    # sim2_is_global evaluates the same expressions
+    # diagonal quadratics on Python floats, read from an array by one tolist()
+    # (a list is unpacked as is): cheaper than matmuls on 2-vectors, run every
+    # solver iteration; sim2_is_global evaluates the same expressions
     def eval_f(x):
-        x0, x1 = float(x[0]), float(x[1])
+        x0, x1 = x.tolist() if isinstance(x, np.ndarray) else x
         return a1 * x0 * x0 + a2 * x1 * x1 + a3
 
     def eval_g(x):
-        x0, x1 = float(x[0]), float(x[1])
+        x0, x1 = x.tolist() if isinstance(x, np.ndarray) else x
         return a4 * x0 * x0 + a5 * x1 * x1 + a6
 
     def grad_f(x):
-        return np.array([d1 * float(x[0]), d2 * float(x[1])])
+        x0, x1 = x.tolist() if isinstance(x, np.ndarray) else x
+        return np.array([d1 * x0, d2 * x1])
 
     def grad_g(x):
-        return np.array([d4 * float(x[0]), d5 * float(x[1])])
+        x0, x1 = x.tolist() if isinstance(x, np.ndarray) else x
+        return np.array([d4 * x0, d5 * x1])
 
     return FractionalProblem(
         eval_f=eval_f,

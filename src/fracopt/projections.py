@@ -73,11 +73,11 @@ def band_projector(a0):
     a0 = float(a0)
 
     def _project(x):
-        x2 = x[1]
+        x1, x2 = x.tolist() if isinstance(x, np.ndarray) else x
         if x2 > a0:
             x2 = a0
         elif x2 < -a0:
             x2 = -a0
-        return np.array([x[0], x2])
+        return np.array([x1, x2])
 
     return _project

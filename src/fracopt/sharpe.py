@@ -148,7 +148,7 @@ def build_sharpe_model(r, eps_hat=1e-4):
     matrix forms the Gram term; eps_hat*I regularizes it. Both steps work in
     place on arrays the build allocates, with the rounding of the direct
     formula. lambda1 comes from the power iteration, or from
-    ``np.linalg.eigvalsh`` when the top eigenvalues lie too close for its
+    ``np.linalg.eigvalsh`` when the top eigenvalues lie too close for 1,000
     sweeps to settle (low-volatility returns, where Q_eps is close to
     eps_hat*I). Raises DegenerateModel when the mean, the Gram matrix or lambda1
     leaves the float range, when fewer than N+1 rows leave the Gram matrix
@@ -165,7 +165,7 @@ def build_sharpe_model(r, eps_hat=1e-4):
         q_eps = q.T @ q
         q_eps.flat[:: n + 1] += eps_hat
     try:  # an overflow above leaves q_eps non-finite, which the power iteration rejects
-        lambda1 = dominant_eigenvalue(q_eps, tol=_EIG_TOL)
+        lambda1 = dominant_eigenvalue(q_eps, tol=_EIG_TOL, max_iter=1_000)
     except InvalidParameter as exc:
         raise DegenerateModel(f"the returns leave the float range: {exc}") from None
     except NoConvergence:  # top eigenvalues too close to separate: ask LAPACK

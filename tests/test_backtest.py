@@ -447,6 +447,20 @@ class TestExport:
         assert float(first[1]) == report.realized_returns[0]
         assert float(first[2]) == report.wealth_path[0]
 
+    def test_csv_rejects_a_wrong_label_count(self, tmp_path):
+        # two labels for three weight columns would write a 5-column header
+        # over 6-cell rows
+        values = np.random.default_rng(3).normal(0.005, 0.04, size=(8, 3))
+        report = run_backtest(returns_matrix(values), BacktestConfig(window=5))
+        path = tmp_path / "periods.csv"
+        with pytest.raises(InvalidParameter, match="2 asset labels for 3 weight columns"):
+            report_to_csv(report, path, ["A", "B"])
+        with pytest.raises(InvalidParameter, match="4 asset labels for 3 weight columns"):
+            report_to_csv(report, path, ["A", "B", "C", "D"])
+        assert not path.exists()
+        report_to_csv(report, path, ["A", "B", "C"])
+        assert {len(line.split(",")) for line in path.read_text().splitlines()} == {6}
+
 
 def test_demo_csv_loads_back(tmp_path):
     path = Path(__file__).resolve().parents[1] / "demos" / "backtest_strategies.py"

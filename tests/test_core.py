@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,31 @@ def identity_problem(eval_f, eval_g, grad_f, grad_g, dim=2, step_bound=1.0):
         step_bound=step_bound,
         dimension=dim,
     )
+
+
+def breaking_problem(k, fault, bad_g=-0.5):
+    """min -x1 over g = 1 on the plane, whose oracle breaks from iteration k on.
+
+    Each iteration moves x1 up by its step and no stop test fires, under either
+    step rule. grad_f is asked once per iteration, so its call count is the
+    iteration number. From iteration k on, ``fault`` names what breaks: "g"
+    makes g equal ``bad_g``, "f" makes f NaN, and "update" makes grad_f
+    infinite at iteration k itself.
+    """
+    calls = [0]
+
+    def grad_f(x):
+        calls[0] += 1
+        return np.array([-math.inf if fault == "update" and calls[0] == k else -1.0, 0.0])
+
+    def eval_g(x):
+        return bad_g if fault == "g" and calls[0] >= k else 1.0
+
+    def eval_f(x):
+        return math.nan if fault == "f" and calls[0] >= k else -float(x[0])
+
+    problem = identity_problem(eval_f, eval_g, grad_f, lambda x: np.zeros(2))
+    return problem, calls
 
 
 class TestPgaTrajectories:
@@ -237,6 +264,36 @@ class TestErrorPaths:
         )
         with pytest.raises(NumericalBreakdown):
             pga_solve(problem, [0.0, 0.0])
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize(
+        "fault, bad_g, error, message",
+        [
+            ("g", -0.5, PositivityViolation, "g(x) = -0.5 <= 0; the denominator must stay positive"),
+            ("g", 0.0, PositivityViolation, "g(x) = 0.0 <= 0; the denominator must stay positive"),
+            ("g", math.nan, NumericalBreakdown, "g(x) evaluated to NaN"),
+            ("f", -0.5, NumericalBreakdown, "f(x) evaluated to NaN"),
+            ("update", -0.5, NumericalBreakdown, "non-finite update at iteration {k}"),
+        ],
+        ids=["g-negative", "g-zero", "g-nan", "f-nan", "update-inf"],
+    )
+    def test_mid_solve_breakdown(self, adaptive, k, fault, bad_g, error, message):
+        # the checks inside the loop raise the error and message of the checks
+        # at the start, in the iteration where the oracle breaks
+        problem, calls = breaking_problem(k, fault, bad_g)
+        with pytest.raises(error) as info:
+            pga_solve(problem, [1.0, 0.0], PgaConfig(adaptive=adaptive))
+        assert str(info.value) == message.format(k=k)
+        assert calls[0] == k
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+    def test_breaking_problem_runs_on_without_a_fault(self, adaptive):
+        # without its fault the problem runs to max_iter, one grad_f call an iteration
+        problem, calls = breaking_problem(2, None)
+        result = pga_solve(problem, [1.0, 0.0], PgaConfig(adaptive=adaptive, max_iter=8))
+        assert result.status is Status.MAX_ITER_REACHED and result.iterations == 8
+        assert calls[0] == 8 and result.x_star[0] > 8.0
 
     def test_alpha_above_bound_rejected(self):
         problem = build_sim1(SIM1_A)

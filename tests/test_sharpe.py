@@ -12,8 +12,10 @@ from fracopt.errors import (
     DimensionError,
     InsufficientData,
     InvalidParameter,
+    NoConvergence,
     NumericalBreakdown,
 )
+from fracopt.linalg import dominant_eigenvalue
 from fracopt.sharpe import (
     ReturnsMatrix,
     SharpeModel,
@@ -100,6 +102,23 @@ class TestBuildModel:
             q = (values - values.mean(axis=0)) / np.sqrt(t - 1.0)
             expected = q.T @ q + 1e-4 * np.eye(n)
             assert model.q_eps.tobytes() == expected.tobytes()
+
+    def test_lambda1_from_lapack_past_the_sweep_budget(self):
+        # low-volatility returns leave the top eigenvalues of Q_eps so close
+        # that the power iteration settles only after 6,072 sweeps here; past
+        # the build's budget of 1,000 it takes lambda1 from LAPACK
+        values = np.random.default_rng(2).normal(0.005, 0.04, (60, 8)) * 0.01
+        model = build_sharpe_model(returns_matrix(values))
+        dominant_eigenvalue(model.q_eps, tol=1e-8, max_iter=6_072)
+        with pytest.raises(NoConvergence):
+            dominant_eigenvalue(model.q_eps, tol=1e-8, max_iter=1_000)
+        assert model.lambda1 == float(np.linalg.eigvalsh(model.q_eps)[-1])
+
+    def test_lambda1_from_the_power_iteration_within_the_sweep_budget(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            model = random_model(rng)
+            assert model.lambda1 == dominant_eigenvalue(model.q_eps, tol=1e-8)
 
     def test_zero_mean_degenerate(self):
         with pytest.raises(DegenerateModel):
