@@ -13,8 +13,10 @@ on a market holding (WealthWipeout).
 
 import csv
 import enum
+import io
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,6 +34,10 @@ from .errors import (
 )
 from .linalg import integer, positive
 from .sharpe import ReturnsMatrix, build_sharpe_model, srm_pga
+
+
+# what makes csv.writer quote a string cell under its default dialect
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 class Strategy(str, enum.Enum):
@@ -82,22 +88,29 @@ def load_returns_csv(path, unit=ReturnsUnit.DECIMAL):
     input is divided by 100; the returned matrix is always decimal. The file
     is read as UTF-8; a leading byte-order mark is skipped.
     Undecodable bytes, a malformed CSV line or a blank asset label raise
-    ParseError; a non-numeric or NaN cell raises ParseError with its 1-based
-    row/column; fewer than two data rows raises InsufficientData. The unit
-    is an explicit flag on purpose: auto-detecting percent vs decimal would
-    silently corrupt every downstream metric by a factor of 100.
+    ParseError; so does the first row of the wrong length or non-numeric or
+    non-finite cell in row-major order, with its 1-based row (the CSV
+    record, blank records counted) and column; fewer than two data rows
+    raises InsufficientData. The unit is an explicit flag on purpose:
+    auto-detecting percent vs decimal would silently corrupt every
+    downstream metric by a factor of 100.
     """
     unit = ReturnsUnit(unit)
     try:
         # utf-8-sig drops the byte-order mark that spreadsheets' CSV UTF-8 export writes
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+            # a row number is the 1-based CSV record, blank records included;
+            # a record is blank when its cells hold only whitespace
+            records = [
+                (rownum, r)
+                for rownum, r in enumerate(csv.reader(fh), start=1)
+                if "".join(r).strip()
+            ]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: not a readable CSV text file ({exc})") from exc
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
-    if len(rows) < 3:
+    if len(records) < 3:
         raise InsufficientData(f"{path}: need a header and at least 2 data rows")
-    header, data = rows[0], rows[1:]
+    (header_row, header), data = records[0], [r for _, r in records[1:]]
 
     def _is_number(cell):
         try:
@@ -122,43 +135,53 @@ def load_returns_csv(path, unit=ReturnsUnit.DECIMAL):
     offset = 1 if has_labels else 0
     asset_labels = [h.strip() for h in header[offset:]]
     if not asset_labels:
-        raise ParseError(f"{path}: header defines no asset columns", row=1)
+        raise ParseError(f"{path}: header defines no asset columns", row=header_row)
     if "" in asset_labels:
         col = asset_labels.index("") + 1 + offset
-        raise ParseError(f"{path}: blank asset label at row 1, column {col}", row=1, col=col)
+        raise ParseError(
+            f"{path}: blank asset label at row {header_row}, column {col}", row=header_row, col=col
+        )
 
-    period_labels = [] if has_labels else None
-    values = np.empty((len(data), len(asset_labels)))
-    for i, row in enumerate(data):
-        rownum = i + 2  # 1-based, counting the header
-        if len(row) != len(asset_labels) + offset:
-            raise ParseError(
-                f"{path}: row {rownum} has {len(row)} cells, expected "
-                f"{len(asset_labels) + offset}",
-                row=rownum,
-            )
-        if has_labels:
-            period_labels.append(row[0].strip())
-        for j, cell in enumerate(row[offset:]):
-            try:
-                x = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: non-numeric cell {cell!r} at row {rownum}, column "
-                    f"{j + 1 + offset}",
-                    row=rownum,
-                    col=j + 1 + offset,
-                ) from None
-            if not math.isfinite(x):
-                raise ParseError(
-                    f"{path}: non-finite cell at row {rownum}, column {j + 1 + offset}",
-                    row=rownum,
-                    col=j + 1 + offset,
-                )
-            values[i, j] = x
+    period_labels = [row[0].strip() for row in data] if has_labels else None
+    # a valid file costs one map(float) per row and one finiteness pass; a
+    # failing one is read again, cell by cell, for its first bad cell
+    try:
+        values = np.array([list(map(float, row[offset:])) for row in data])
+        valid = values.shape == (len(data), len(asset_labels)) and np.isfinite(values).all()
+    except ValueError:  # a non-numeric cell, or rows of unequal length
+        valid = False
+    if not valid:
+        raise _first_bad_cell(path, records[1:], offset, len(asset_labels) + offset)
     if unit is ReturnsUnit.PERCENT:
         values /= 100.0
     return ReturnsMatrix(values, asset_labels, period_labels)
+
+
+def _first_bad_cell(path, records, offset, width):
+    """The ParseError of the first bad row or cell in row-major order.
+
+    A row with the wrong number of cells is reported before its cells; a
+    cell is bad when it is not a number or not finite.
+    """
+    for rownum, row in records:
+        if len(row) != width:
+            return ParseError(
+                f"{path}: row {rownum} has {len(row)} cells, expected {width}", row=rownum
+            )
+        for col, cell in enumerate(row[offset:], start=offset + 1):
+            try:
+                x = float(cell)
+            except ValueError:
+                return ParseError(
+                    f"{path}: non-numeric cell {cell!r} at row {rownum}, column {col}",
+                    row=rownum,
+                    col=col,
+                )
+            if not math.isfinite(x):
+                return ParseError(
+                    f"{path}: non-finite cell at row {rownum}, column {col}", row=rownum, col=col
+                )
+    raise AssertionError("no bad cell in a file that failed to parse")
 
 
 def _in_float_range(what, compute):
@@ -270,9 +293,9 @@ def report_to_json(report, path):
         "final_wealth": report.final_wealth,
         "periods": int(report.realized_returns.size),
     }
+    text = json.dumps(payload, indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def report_to_csv(report, path, asset_labels=None):
@@ -281,12 +304,29 @@ def report_to_csv(report, path, asset_labels=None):
     labels = list(asset_labels) if asset_labels else [f"A{j + 1}" for j in range(n)]
     if len(labels) != n:
         raise InvalidParameter(f"{len(labels)} asset labels for {n} weight columns")
+    header = ["period", "realized_return", "wealth"] + [f"w_{a}" for a in labels]
+    table = np.column_stack(
+        [report.realized_returns, report.wealth_path, report.weights_history]
+    ).tolist()
+    periods = report.period_labels or [str(t + 1) for t in range(len(table))]
+    # csv writes a float as str(), its repr, which never needs quoting, so
+    # joining the reprs writes csv.writer's bytes at two thirds of its cost
+    lines = [
+        f"{label},{','.join(map(repr, row))}\r\n"
+        for label, row in zip(_csv_cells(periods), table, strict=True)
+    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["period", "realized_return", "wealth"] + [f"w_{a}" for a in labels])
-        for t in range(report.realized_returns.size):
-            label = report.period_labels[t] if report.period_labels else str(t + 1)
-            writer.writerow(
-                [label, repr(float(report.realized_returns[t])), repr(float(report.wealth_path[t]))]
-                + [repr(float(w)) for w in report.weights_history[t]]
-            )
+        csv.writer(fh).writerow(header)
+        fh.write("".join(lines))
+
+
+def _csv_cells(values):
+    """Each value as csv.writer writes it in a row of several cells."""
+    if all(type(v) is str for v in values) and not _NEEDS_QUOTES.search("".join(values)):
+        return values
+    cells = []
+    for v in values:
+        buf = io.StringIO()
+        csv.writer(buf).writerow([v, ""])
+        cells.append(buf.getvalue()[:-3])  # less the empty cell's "," and the "\r\n"
+    return cells

@@ -94,15 +94,20 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=10_000):
         e = math.frexp(scale)[1]
         a = np.ldexp(a, -e)
 
-    # sqrt(w.w) is np.linalg.norm's own formula for a real 1-d vector
+    # sqrt(w.w) is np.linalg.norm's own formula for a real 1-d vector.
+    # ndarray.dot forms the BLAS product that @ forms on a C- or F-ordered
+    # matrix at a smaller call cost; @ stays for a strided one, which it
+    # multiplies without BLAS and so with its own rounding
+    matvec = a.dot if a.flags.forc else a.__matmul__
+    sqrt = math.sqrt
     v = np.arange(1.0, n + 1.0)
-    v /= math.sqrt(v.dot(v))
+    v /= sqrt(v.dot(v))
     tiny = np.finfo(float).tiny
     lam = None
     restarts = 0
     for _ in range(max_iter):
-        w = a @ v
-        wn = math.sqrt(w.dot(w))
+        w = matvec(v)
+        wn = sqrt(w.dot(w))
         if wn == 0.0:
             # v fell in the nullspace; restart from the next basis vector
             if restarts >= n:
@@ -111,7 +116,7 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=10_000):
             v[restarts] = 1.0
             restarts += 1
             continue
-        lam_new = float(v @ w)
+        lam_new = float(v.dot(w))
         if lam is not None and abs(lam_new - lam) <= tol * max(abs(lam_new), tiny):
             if math.frexp(lam_new)[1] + e > 1024:
                 raise InvalidParameter(f"the eigenvalue {lam_new} * 2**{e} exceeds the float range")

@@ -61,6 +61,8 @@ from .linalg import as_vector, dominant_eigenvalue, positive
 from .projections import project_simplex
 
 _EIG_TOL = 1e-8
+# srm_pga's default; a frozen config is safe to share between calls
+_ADAPTIVE = PgaConfig(adaptive=True)
 
 
 @dataclass(frozen=True)
@@ -235,14 +237,17 @@ def sharpe_problem(model):
         # off-support multiplier of the QP form, a positive multiple of
         # (Q z - p) there, is nonnegative
         idx = np.flatnonzero(w)
+        # one column block Q[:, S] gives Q_SS and Q_off,S, each the C-ordered
+        # matrix an np.ix_ gather would make, so their products round alike
+        cols = q_eps.take(idx, axis=1)
         try:
-            z = np.linalg.solve(q_eps[np.ix_(idx, idx)], p[idx])
+            z = np.linalg.solve(cols.take(idx, axis=0), p[idx])
         except np.linalg.LinAlgError:  # Q_SS is singular in float64: nothing to offer
             return None
         if not np.all(z > 0.0):
             return None
         off = np.flatnonzero(w == 0.0)
-        if not np.all(q_eps[np.ix_(off, idx)] @ z >= p[off]):
+        if not np.all(cols.take(off, axis=0) @ z >= p[off]):
             return None
         w_fin = np.zeros_like(w)
         w_fin[idx] = z / z.sum()
@@ -343,6 +348,6 @@ def srm_pga(model, cfg=None):
     when its KKT conditions hold and its Sharpe ratio is no lower. The
     status is then CONVERGED and the weights are exact to rounding.
     """
-    result = pga_solve(sharpe_problem(model), _start(model), cfg or PgaConfig(adaptive=True))
+    result = pga_solve(sharpe_problem(model), _start(model), cfg or _ADAPTIVE)
     w = result.x_star
     return SrmResult(w, -result.ratio, bool(model.p @ w >= -1e-12), result)

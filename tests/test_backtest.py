@@ -1,10 +1,16 @@
+import csv
+import dataclasses
+import hashlib
 import importlib.util
+import io
 import json
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fracopt.backtest
 from fracopt.backtest import (
@@ -40,6 +46,21 @@ def write_csv(tmp_path, text, name="returns.csv"):
 SYNTHETIC_6x2 = returns_matrix(
     np.column_stack([np.full(6, 0.01), np.zeros(6)]), ["UP", "FLAT"]
 )
+
+
+def _awkward_panel():
+    values = np.random.default_rng(23).normal(0.005, 0.04, (10, 3))
+    values[1, 0] = 5e-324
+    values[2, 1] = -0.0
+    values[3, 2] = 0.0
+    values[6, 0] = 1.0
+    periods = ("2020-01", "Q1, 2020", 'the "big" one', 'a,"b",c')
+    periods += tuple(f"t{t}" for t in range(5, 11))
+    return returns_matrix(values, ("A", "B, Inc", 'C "x"'), periods)
+
+
+# period and asset labels that CSV must quote, and returns at the float extremes
+AWKWARD_PANEL = _awkward_panel()
 
 
 class TestLoader:
@@ -179,6 +200,79 @@ class TestLoader:
         path = write_csv(tmp_path, "date,A,B\nx,1.0,2.0\ny,3.0,nan\n")
         with pytest.raises(ParseError):
             load_returns_csv(path)
+
+
+    # each file's first bad cell in row-major order, with the error the loader
+    # raised for it before the valid-file fast path: class, message, row, column
+    @pytest.mark.parametrize(
+        "text, message, row, col",
+        [
+            ("A,B,C\n0.01,0.02,0.03\n0.01,nan,abc\n", "non-finite cell at row 3, column 2", 3, 2),
+            ("A,B,C\n0.01,0.02,0.03\n0.01,abc,inf\n",
+             "non-numeric cell 'abc' at row 3, column 2", 3, 2),
+            ("A,B,C\n0.01,0.02,0.03\n0.01,0.02,-inf\n0.01,abc,0.03\n",
+             "non-finite cell at row 3, column 3", 3, 3),
+            ("A,B,C\n0.01,0.02,0.03\n0.01,0.02,x\n0.01,nan,0.03\n",
+             "non-numeric cell 'x' at row 3, column 3", 3, 3),
+            ("A,B,C\n0.01,0.02,0.03\n0.01,0.02,inf\n0.01,0.02\n",
+             "non-finite cell at row 3, column 3", 3, 3),
+            ("A,B,C\n0.01,0.02,0.03\n0.01,0.02\n0.01,abc,0.03\n",
+             "row 3 has 2 cells, expected 3", 3, None),
+            ("date,A,B\nx,0.01,0.02\ny,1e999,oops\n", "non-finite cell at row 3, column 2", 3, 2),
+            ("date,A,B\nx,0.01,0.02\ny,oops,NaN\n",
+             "non-numeric cell 'oops' at row 3, column 2", 3, 2),
+            ("A,B\n0.01\n0.02\n", "row 2 has 1 cells, expected 2", 2, None),
+        ],
+        ids=[
+            "nonfinite-then-text-in-row",
+            "text-then-nonfinite-in-row",
+            "nonfinite-then-text-across-rows",
+            "text-then-nonfinite-across-rows",
+            "nonfinite-then-short-row",
+            "short-row-then-text",
+            "labelled-nonfinite-then-text",
+            "labelled-text-then-nonfinite",
+            "every-row-short",
+        ],
+    )
+    @pytest.mark.parametrize("unit", ["decimal", "percent"])
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_first_bad_cell_is_reported(self, tmp_path, text, message, row, col, unit, bom):
+        path = tmp_path / "returns.csv"
+        path.write_bytes(bom + text.encode())
+        with pytest.raises(ParseError) as excinfo:
+            load_returns_csv(str(path), unit)
+        assert type(excinfo.value) is ParseError
+        assert str(excinfo.value) == f"{path}: {message}"
+        assert (excinfo.value.row, excinfo.value.col) == (row, col)
+
+    # a row number is the CSV record in the file, blank records included
+    @pytest.mark.parametrize(
+        "text, message, row, col",
+        [
+            ("A,B\n0.01,0.02\n\n0.03,abc\n", "non-numeric cell 'abc' at row 4, column 2", 4, 2),
+            ("A,B\n0.01,0.02\n,\n0.03,inf\n", "non-finite cell at row 4, column 2", 4, 2),
+            ("A,B\n0.01,0.02\n\n0.03\n", "row 4 has 1 cells, expected 2", 4, None),
+            ("\nA,,B\n0.01,0.02,0.03\n0.03,0.04,0.05\n",
+             "blank asset label at row 2, column 2", 2, 2),
+            # a quoted line break stays inside its record
+            ('date,A,B\n"x\ny",0.01,0.02\n\nz,0.03,abc\n',
+             "non-numeric cell 'abc' at row 4, column 3", 4, 3),
+        ],
+        ids=["non-numeric", "non-finite", "row-length", "blank-label", "quoted-line-break"],
+    )
+    def test_rows_are_numbered_over_blank_records(self, tmp_path, text, message, row, col):
+        path = write_csv(tmp_path, text)
+        with pytest.raises(ParseError) as excinfo:
+            load_returns_csv(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+        assert (excinfo.value.row, excinfo.value.col) == (row, col)
+
+    def test_blank_records_are_skipped(self, tmp_path):
+        path = write_csv(tmp_path, "\ndate,A,B\n\nx,0.01,0.02\n , \t,\ny,0.03,0.04\n\n")
+        r = load_returns_csv(path)
+        assert r.period_labels == ("x", "y")
+        assert np.array_equal(r.values, [[0.01, 0.02], [0.03, 0.04]])
 
 
 class TestMetrics:
@@ -460,6 +554,99 @@ class TestExport:
         assert not path.exists()
         report_to_csv(report, path, ["A", "B", "C"])
         assert {len(line.split(",")) for line in path.read_text().splitlines()} == {6}
+
+
+    # SHA-256 of each file the writers produced before they took their rows
+    # from one tolist(): the report of a run, then the same report with
+    # 5e-324, -0.0, 1e300 and whole-number floats in every written field
+    @pytest.mark.parametrize(
+        "strategy, digests",
+        [
+            ("srm-pga", (
+                "78a431ef3058825180b362f83a99562fa88b6b7fe32690a7ed2e1c1663aa83d3",
+                "ccf42141fbcf8ad1a5255e25133b3de7f0357b2cbac955ab6e6ffcdd03b297e6",
+                "8508e64b5c106c6d35ee9498904e8aa93423389c145f8735daceac81b58add38",
+                "6f07344478a3deefd5ce22b69099d6ef113f212492f092023c5ddac7afa62d49",
+            )),
+            ("one-over-n", (
+                "2146230a6ac256347d20a2fd3bc43e11eca4c2511822e8fdde049e0943e0cf5c",
+                "aa159f07f5601d8d5f60f6b684159f7387dc619190466f8d6bd16b4aa98657f9",
+                "362ec32266fae26b7f999dc8feb5eaa901fa6c0d13bc43860459abb6ae6bf6b4",
+                "d1e06289fc84ae7b5f33500b6921dc85a40118577891ab6cea1cf4a51f89b559",
+            )),
+            ("market", (
+                "402f2687baa92941de73e0adfe4b31be4fa304fd11a5589fb4b13cf8bf3d6d8f",
+                "c9bd0e80c5366b653e01742abfde7702c5e79bc7a5e336a5bbcc18a8728f9936",
+                "39d841a91e692920171824a01e20a6387a17fd57d5e296a4039f49358ee8615b",
+                "f1f4a2d1dacc4130b34389b6ca855c08ef5069c65fb7d70e6327817d0d83a580",
+            )),
+        ],
+    )
+    def test_written_bytes_pinned(self, tmp_path, strategy, digests):
+        report = run_backtest(AWKWARD_PANEL, BacktestConfig(window=4, strategy=strategy))
+        realized = report.realized_returns.copy()
+        realized[:4] = [5e-324, -0.0, 1e300, 2.0]
+        wealth = report.wealth_path.copy()
+        wealth[:3] = [1e300, 3.0, -0.0]
+        weights = report.weights_history.copy()
+        weights[:2] = [[5e-324, -0.0, 1.0], [1e300, 0.5, 0.0]]
+        awkward = dataclasses.replace(
+            report,
+            realized_returns=realized,
+            wealth_path=wealth,
+            weights_history=weights,
+            sharpe=-0.0,
+            final_wealth=1e300,
+            eps_hat=5e-324,
+        )
+        written = []
+        for r in (report, awkward):
+            report_to_csv(r, tmp_path / "periods.csv", AWKWARD_PANEL.asset_labels)
+            report_to_json(r, tmp_path / "report.json")
+            written += [(tmp_path / name).read_bytes() for name in ("periods.csv", "report.json")]
+        assert tuple(hashlib.sha256(b).hexdigest() for b in written) == digests
+
+
+def _csv_writer_bytes(report, labels):
+    """The report as csv.writer writes it, one row of Python floats at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["period", "realized_return", "wealth"] + [f"w_{a}" for a in labels])
+    periods = report.period_labels or [str(t + 1) for t in range(report.realized_returns.size)]
+    for t, label in enumerate(periods):
+        row = [report.realized_returns[t], report.wealth_path[t], *report.weights_history[t]]
+        writer.writerow([label] + [float(x) for x in row])
+    return buf.getvalue().encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    periods=st.lists(
+        st.one_of(
+            st.text(alphabet=' ,"\r\nab\t;\'', max_size=6), st.integers(), st.none(), st.floats()
+        ),
+        min_size=2,
+        max_size=5,
+    ),
+    cells=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=15, max_size=15),
+)
+@example(periods=["a\rb", "c"], cells=[5e-324, -0.0, 1e300] * 5)
+@example(periods=["a\nb", "c"], cells=[0.0, 2.0, 0.1] * 5)
+@example(periods=["", " a", 'say "x"'], cells=[0.0, 2.0, 0.1] * 5)
+@example(periods=[None, 3, 1.5], cells=[0.0, 2.0, 0.1] * 5)
+def test_csv_equals_csv_writer_rows(tmp_path_factory, periods, cells):
+    t = len(periods)
+    table = np.resize(np.array(cells), (t, 3))
+    report = dataclasses.replace(
+        run_backtest(AWKWARD_PANEL, BacktestConfig(window=4, strategy="market")),
+        realized_returns=table[:, 0].copy(),
+        wealth_path=table[:, 1].copy(),
+        weights_history=np.column_stack([table[:, 2], table[:, ::-1][:, :2]]),
+        period_labels=tuple(periods),
+    )
+    path = tmp_path_factory.mktemp("csv") / "periods.csv"
+    report_to_csv(report, path, AWKWARD_PANEL.asset_labels)
+    assert path.read_bytes() == _csv_writer_bytes(report, AWKWARD_PANEL.asset_labels)
 
 
 def test_demo_csv_loads_back(tmp_path):

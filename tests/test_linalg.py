@@ -154,6 +154,12 @@ class TestDominantEigenvalue:
         assert not np.any(restart @ np.arange(1.0, 4.0))
         matrices.append(restart)
         matrices.append(np.outer(u, u) * 1e-3)
+        # read in place in every memory order: Fortran, strided and reversed
+        for n in (3, 10, 40):
+            m = random_psd(rng, n)
+            padded = np.zeros((2 * n, 2 * n))
+            padded[::2, ::2] = m
+            matrices += [np.asfortranarray(m), padded[::2, ::2], m[::-1, ::-1]]
         for m in matrices:
             for tol in (1e-10, 1e-13):
                 expected = frozen_power_sweep(m, tol, 200_000)
