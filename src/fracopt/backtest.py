@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
     WealthWipeout,
 )
-from .linalg import integer, positive
+from .linalg import choice, integer, positive
 from .sharpe import ReturnsMatrix, build_sharpe_model, srm_pga
 
 
@@ -58,7 +58,7 @@ class BacktestConfig:
     eps_hat: float = 1e-4
 
     def __post_init__(self):
-        object.__setattr__(self, "strategy", Strategy(self.strategy))
+        object.__setattr__(self, "strategy", choice("strategy", Strategy, self.strategy))
         integer("window", self.window, minimum=2)
         positive("eps_hat", self.eps_hat)
 
@@ -95,7 +95,7 @@ def load_returns_csv(path, unit=ReturnsUnit.DECIMAL):
     auto-detecting percent vs decimal would silently corrupt every
     downstream metric by a factor of 100.
     """
-    unit = ReturnsUnit(unit)
+    unit = choice("unit", ReturnsUnit, unit)
     try:
         # utf-8-sig drops the byte-order mark that spreadsheets' CSV UTF-8 export writes
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -143,18 +143,16 @@ def load_returns_csv(path, unit=ReturnsUnit.DECIMAL):
         )
 
     period_labels = [row[0].strip() for row in data] if has_labels else None
-    # a valid file costs one map(float) per row and one finiteness pass; a
-    # failing one is read again, cell by cell, for its first bad cell
+    # ReturnsMatrix is the one check of a valid file's shape and finiteness; a
+    # file that fails to parse (ValueError) or that check is read again, cell
+    # by cell, for its first bad cell
     try:
         values = np.array([list(map(float, row[offset:])) for row in data])
-        valid = values.shape == (len(data), len(asset_labels)) and np.isfinite(values).all()
-    except ValueError:  # a non-numeric cell, or rows of unequal length
-        valid = False
-    if not valid:
-        raise _first_bad_cell(path, records[1:], offset, len(asset_labels) + offset)
-    if unit is ReturnsUnit.PERCENT:
-        values /= 100.0
-    return ReturnsMatrix(values, asset_labels, period_labels)
+        if unit is ReturnsUnit.PERCENT:
+            values /= 100.0
+        return ReturnsMatrix(values, asset_labels, period_labels)
+    except (ValueError, FracoptError):
+        raise _first_bad_cell(path, records[1:], offset, len(asset_labels) + offset) from None
 
 
 def _first_bad_cell(path, records, offset, width):
@@ -293,15 +291,17 @@ def report_to_json(report, path):
         "final_wealth": report.final_wealth,
         "periods": int(report.realized_returns.size),
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    _write_json(path, payload)
 
 
 def report_to_csv(report, path, asset_labels=None):
-    """Write each period's return, wealth and weights at full precision, one label per weight."""
+    """Write each period's return, wealth and weights at full precision, one label per weight.
+
+    The labels default to A1..AN only when ``asset_labels`` is None; any other
+    count than one per weight column raises InvalidParameter.
+    """
     n = report.weights_history.shape[1]
-    labels = list(asset_labels) if asset_labels else [f"A{j + 1}" for j in range(n)]
+    labels = [f"A{j + 1}" for j in range(n)] if asset_labels is None else list(asset_labels)
     if len(labels) != n:
         raise InvalidParameter(f"{len(labels)} asset labels for {n} weight columns")
     header = ["period", "realized_return", "wealth"] + [f"w_{a}" for a in labels]
@@ -309,11 +309,23 @@ def report_to_csv(report, path, asset_labels=None):
         [report.realized_returns, report.wealth_path, report.weights_history]
     ).tolist()
     periods = report.period_labels or [str(t + 1) for t in range(len(table))]
+    _write_rows(path, header, periods, table)
+
+
+def _write_json(path, payload):
+    """Write ``payload`` as JSON indented by 2, with a final newline."""
+    text = json.dumps(payload, indent=2) + "\n"
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _write_rows(path, header, labels, table):
+    """Write a CSV of the header, then each label followed by its row of Python floats."""
     # csv writes a float as str(), its repr, which never needs quoting, so
     # joining the reprs writes csv.writer's bytes at two thirds of its cost
     lines = [
         f"{label},{','.join(map(repr, row))}\r\n"
-        for label, row in zip(_csv_cells(periods), table, strict=True)
+        for label, row in zip(_csv_cells(labels), table, strict=True)
     ]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)

@@ -6,8 +6,6 @@ trace CSV and JSON files carry full precision.
 """
 
 import argparse
-import csv
-import json
 import os
 import sys
 
@@ -39,14 +37,6 @@ def _parse_floats(text, count, name):
         return np.array([float(p) for p in parts])
     except ValueError:
         raise InvalidParameter(f"{name}: could not parse {text!r}") from None
-
-
-def _write_trace_csv(path, trace):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "x1", "x2", "objective"])
-        for k, (x, c) in enumerate(zip(trace.iterates, trace.ratios)):
-            writer.writerow([k] + [repr(float(v)) for v in x] + [repr(float(c))])
 
 
 def _fmt(x):
@@ -84,7 +74,9 @@ def _solve_paper_problem(args, name, problem, report=None):
         report(result.x_star)
     if args.trace:
         path = os.path.join(args.out, f"{name}_trace.csv")
-        _write_trace_csv(path, result.trace)
+        table = np.column_stack([result.trace.iterates, result.trace.ratios]).tolist()
+        steps = [str(k) for k in range(len(table))]
+        bt._write_rows(path, ["k", "x1", "x2", "objective"], steps, table)
         print(f"trace written:  {path}")
     return _exit_code(result.status is Status.CONVERGED)
 
@@ -123,9 +115,7 @@ def cmd_sharpe(args):
         "iterations": res.result.iterations,
     }
     path = os.path.join(args.out, "sharpe_result.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    bt._write_json(path, payload)
     print(f"result written:     {path}")
     return _exit_code(res.result.status is Status.CONVERGED)
 

@@ -1,8 +1,8 @@
 """Input validation and dominant-eigenvalue estimation.
 
 Every parameter and vector the package takes is checked on entry by
-``positive``, ``nonnegative``, ``integer`` or ``as_vector``, each raising
-InvalidParameter that names the input. All arithmetic is 64-bit floating
+``positive``, ``nonnegative``, ``integer``, ``choice`` or ``as_vector``, each
+raising InvalidParameter that names the input. All arithmetic is 64-bit floating
 point on numpy arrays, and the routines never mutate their inputs;
 ``dominant_eigenvalue`` reads its matrix in place, so a model build hands
 it the Gram matrix it has just formed without a second N x N array.
@@ -34,6 +34,15 @@ def integer(name, value, minimum=1):
     """Check that ``value`` is an integer of at least ``minimum``; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise InvalidParameter(f"{name} must be an integer >= {minimum}, got {value}")
+
+
+def choice(name, kind, value):
+    """``value`` as a member of the enum ``kind``, which it may name by its value."""
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(repr(member.value) for member in kind)
+        raise InvalidParameter(f"{name} must be one of {allowed}, got {value!r}") from None
 
 
 def as_vector(x, length=None, name="x"):

@@ -11,7 +11,7 @@ Two families:
   gradient has a closed form used as an oracle for gradient checks.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,9 +42,10 @@ class Sim1Params:
 def build_sim1(params):
     """Problem for min p.x/||x|| on the simplex; step bound 1/(4||p||).
 
-    The Sharpe form with means -p, Gram term I, unit regularizer and no face finish.
+    The Sharpe problem with means -p, Gram term I and unit regularizer, face
+    finish included: the adaptive step offers it, the fixed step never does.
     """
-    return replace(sharpe_problem(SharpeModel(-params.p, np.eye(2), 1.0, 1.0)), finish=None)
+    return sharpe_problem(SharpeModel(-params.p, np.eye(2), 1.0, 1.0))
 
 
 def sim1_analytic_solution(params):

@@ -203,7 +203,9 @@ class TestLoader:
 
 
     # each file's first bad cell in row-major order, with the error the loader
-    # raised for it before the valid-file fast path: class, message, row, column
+    # raised for it before the valid-file fast path and, from long-row on,
+    # while it still ran its own shape and finiteness pass before
+    # ReturnsMatrix: class, message, row, column
     @pytest.mark.parametrize(
         "text, message, row, col",
         [
@@ -222,6 +224,13 @@ class TestLoader:
             ("date,A,B\nx,0.01,0.02\ny,oops,NaN\n",
              "non-numeric cell 'oops' at row 3, column 2", 3, 2),
             ("A,B\n0.01\n0.02\n", "row 2 has 1 cells, expected 2", 2, None),
+            ("A,B\n0.01,0.02\n0.01,0.02,0.03\n0.01,0.02\n",
+             "row 3 has 3 cells, expected 2", 3, None),
+            ("A,B\n0.01,0.02,0.03\n0.04,0.05,0.06\n", "row 2 has 3 cells, expected 2", 2, None),
+            ("date,A\nx\ny\n", "row 2 has 1 cells, expected 2", 2, None),
+            ("A,B\n0.01,\n0.02,0.03\n", "non-numeric cell '' at row 2, column 2", 2, 2),
+            ("A,B\n0.01,0.02\n\n0.03,inf\n", "non-finite cell at row 4, column 2", 4, 2),
+            ("date,A,B\nx,0.01,0.02\ny,0.03,NaN\n", "non-finite cell at row 3, column 3", 3, 3),
         ],
         ids=[
             "nonfinite-then-text-in-row",
@@ -233,6 +242,12 @@ class TestLoader:
             "labelled-nonfinite-then-text",
             "labelled-text-then-nonfinite",
             "every-row-short",
+            "long-row",
+            "every-row-long",
+            "every-row-only-a-label",
+            "empty-cell",
+            "blank-record-then-nonfinite",
+            "labelled-nan",
         ],
     )
     @pytest.mark.parametrize("unit", ["decimal", "percent"])
@@ -267,6 +282,12 @@ class TestLoader:
             load_returns_csv(path)
         assert str(excinfo.value) == f"{path}: {message}"
         assert (excinfo.value.row, excinfo.value.col) == (row, col)
+
+    def test_unknown_unit_names_the_input_and_its_values(self, tmp_path):
+        path = write_csv(tmp_path, "A,B\n0.01,0.02\n0.03,0.04\n")
+        with pytest.raises(InvalidParameter) as excinfo:
+            load_returns_csv(path, unit="pct")
+        assert str(excinfo.value) == "unit must be one of 'decimal', 'percent', got 'pct'"
 
     def test_blank_records_are_skipped(self, tmp_path):
         path = write_csv(tmp_path, "\ndate,A,B\n\nx,0.01,0.02\n , \t,\ny,0.03,0.04\n\n")
@@ -502,8 +523,10 @@ class TestRunBacktest:
             BacktestConfig(window=1)
         with pytest.raises(InvalidParameter):
             BacktestConfig(eps_hat=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter) as excinfo:
             BacktestConfig(strategy="momentum")
+        message = "strategy must be one of 'srm-pga', 'one-over-n', 'market', got 'momentum'"
+        assert str(excinfo.value) == message
 
     def test_non_finite_eps_rejected(self):
         with pytest.raises(InvalidParameter, match="eps_hat"):
@@ -551,9 +574,17 @@ class TestExport:
             report_to_csv(report, path, ["A", "B"])
         with pytest.raises(InvalidParameter, match="4 asset labels for 3 weight columns"):
             report_to_csv(report, path, ["A", "B", "C", "D"])
+        # only None defaults to A1..AN; an empty sequence is a count like any other
+        for empty in ([], (), np.array([], dtype=str)):
+            with pytest.raises(InvalidParameter, match="0 asset labels for 3 weight columns"):
+                report_to_csv(report, path, empty)
         assert not path.exists()
         report_to_csv(report, path, ["A", "B", "C"])
         assert {len(line.split(",")) for line in path.read_text().splitlines()} == {6}
+        # an array of labels is a sequence like a list, not a truth value
+        listed = path.read_bytes()
+        report_to_csv(report, path, np.array(["A", "B", "C"]))
+        assert path.read_bytes() == listed
 
 
     # SHA-256 of each file the writers produced before they took their rows

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import os
 import warnings
@@ -440,6 +442,57 @@ class TestBacktestCommand:
                 + (out_dir / "backtest_periods.csv").read_bytes()
             )
         assert blobs[0] == blobs[1]
+
+
+def _seeded_panel_csv(path):
+    """A 40 x 5 returns file whose header CSV and JSON must both escape."""
+    values = np.random.default_rng(24).normal(0.01, 0.04, (40, 5)).tolist()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["period", "A", 'B "x"', "C, Inc", "Ü", "E"])
+        writer.writerows([f"t{k}", *map(repr, row)] for k, row in enumerate(values))
+    return str(path)
+
+
+class TestWrittenBytesPinned:
+    # SHA-256 of each file the CLI wrote while it kept its own CSV and JSON
+    # writers beside the report writers
+    @pytest.mark.parametrize(
+        "argv, name, digest",
+        [
+            (
+                ["sim1", "--p", "-2,-1"],
+                "sim1_trace.csv",
+                "a08bab50b999dcd7c583874e230b20ca2265d52b6ed5a2c93971f887662e713c",
+            ),
+            (
+                ["sim2", "--a0", "100", "--a", "4,2,3,3,2,3"],
+                "sim2_trace.csv",
+                "fa3ade7a86a82554c7c2ad690b638042371b8993a320a784637f4ab16bb9f2a9",
+            ),
+        ],
+        ids=["sim1", "sim2"],
+    )
+    def test_trace_bytes_pinned(self, capsys, tmp_path, argv, name, digest):
+        code, _, _ = run_cli(capsys, *argv, "--trace", "--out", str(tmp_path))
+        assert code == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "unit, digest",
+        [
+            ("decimal", "3dbd007e4ac80b7e36c415d8409ac709fed57e9529f7d178dfd75a4bd52f6bfa"),
+            ("percent", "cd67d55c4d8e21fb9811f04be898c0b1755c5ae49a2c4f3cb48013d6aca64f69"),
+        ],
+    )
+    def test_sharpe_result_bytes_pinned(self, capsys, tmp_path, unit, digest):
+        data = _seeded_panel_csv(tmp_path / "panel.csv")
+        code, _, _ = run_cli(
+            capsys, "sharpe", "--data", data, "--unit", unit, "--out", str(tmp_path)
+        )
+        assert code == 0
+        written = (tmp_path / "sharpe_result.json").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest
 
 
 FILE_ARGV = {

@@ -270,6 +270,17 @@ class TestValidation:
             assert project_simplex(x).tobytes() == expected.tobytes(), x
             assert project_simplex(x - top).tobytes() == expected.tobytes(), x
 
+    @pytest.mark.parametrize(
+        "x, expected",
+        [([1e308, -1e308], [1.0, 0.0]), ([-1e300, 1e308, 1e308], [0.0, 0.5, 0.5])],
+    )
+    def test_large_entries_whose_shift_overflows(self, x, expected):
+        # x - max(x) overflows to -inf on the first input, so projecting the
+        # shifted vector is no substitute for the whole-number branch
+        with np.errstate(over="ignore"):
+            got = project_simplex(x)
+        assert got.tobytes() == np.array(expected).tobytes()
+
 
 class TestBand:
     def test_interior_unchanged(self):
