@@ -5,10 +5,11 @@ A projection operator is any callable mapping a point to its closest point
 probability simplex and the horizontal band {x in R^2 : |x2| <= a0}.
 
 The simplex projection validates its input (rank, non-empty, finite)
-without a defensive copy: finiteness is read off the running sum that the
-projection computes anyway, so a valid input costs no extra pass. It sorts
-with numpy's default (unstable) kind: entries that tie are equal values, so
-their order changes neither the threshold nor the output bytes.
+without a defensive copy: the sorted extremes, read before the running sum,
+reject NaN and Inf and route the rare inputs, so a valid input costs no extra
+pass and the sum never overflows. It sorts with numpy's default (unstable)
+kind: tied entries are equal values, so their order changes neither the
+threshold nor the output bytes.
 """
 
 import math
@@ -25,8 +26,11 @@ def project_simplex(x):
     j' whose running average keeps the shifted entries positive, subtract
     the threshold, clip at zero. O(n log n), no iteration.
 
-    Every finite input has an answer. Raises DimensionError for input that
-    is not a non-empty 1-d vector and InvalidParameter for NaN or Inf
+    Every finite input has an answer, routed by the sorted extremes before
+    the running sum: past 2^52 in magnitude the largest entries share the
+    mass, and entries below -2^60, outside every support, are clipped there
+    so that the sum stays in the float range. Raises DimensionError for input
+    that is not a non-empty 1-d vector and InvalidParameter for NaN or Inf
     entries. The input is never mutated; the result is a new float64 array.
     """
     x = np.asarray(x, dtype=float)
@@ -38,20 +42,20 @@ def project_simplex(x):
     u = x.copy()
     u.sort()
     u = u[::-1]
-    # the accumulate that ndarray.cumsum wraps, without the wrapper
-    css = np.add.accumulate(u)
-    # a NaN or Inf entry makes the total non-finite; so may finite entries
-    if not math.isfinite(css[-1]):
-        if not np.all(np.isfinite(x)):
-            raise InvalidParameter("vector entries must be finite (no NaN/Inf)")
-        # a sum below the float range marks a size that cannot qualify: with
-        # |u[0]| <= 2**52 its entries lie far below u[0]
-        css[css == -math.inf] = math.inf
-    if abs(u[0]) > 2.0**52:
+    # a NaN sorts to u[0] here, +Inf to u[0] and -Inf to u[-1]
+    hi, lo = u[0], u[-1]
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise InvalidParameter("vector entries must be finite (no NaN/Inf)")
+    if abs(hi) > 2.0**52:
         # doubles this large are whole numbers, so every smaller entry is at
         # least 1 below u[0] and the largest entries share the mass
-        top = x == u[0]
+        top = x == hi
         return top / np.count_nonzero(top)
+    if lo < -(2.0**60):
+        # such entries lie more than 1 below u[0], outside every support
+        np.maximum(u, -(2.0**60), out=u)
+    # the accumulate that ndarray.cumsum wraps, without the wrapper
+    css = np.add.accumulate(u)
     # t[j-1] = (css[j-1] - 1)/j, the threshold of support size j; the strict
     # u > t is the support rule u - t > 0, and size 1 always qualifies
     t = css - 1.0

@@ -16,13 +16,8 @@ therefore runs the adaptive-step iteration by default (Barzilai-Borwein trial
 steps, backtracking on the ratio down to the admissible step, stopped on the
 step-normalised gradient mapping; see :class:`fracopt.core.PgaConfig`).
 Passing ``PgaConfig()`` selects the paper's fixed-step iteration. Both step
-rules start where one solve suffices (``srm_pga``): when some mean is
-positive, at the tangency portfolio Q^-1 p clipped to the long-only set,
-max(Q^-1 p, 0) normalized, when the Sharpe ratio is positive there (Q^-1 p
-solves Cornuejols & Tutuncu's QP form without its bound y >= 0); else at
-max(p, 0)/diag(Q) normalized, the long-only optimum with Q replaced by its
-diagonal, where the Sharpe ratio is positive; else at the vertex of the
-largest p_i/sqrt(Q_ii). A positive ratio at the start certifies the answer.
+rules start where ``_start``'s one rule puts them, at a positive Sharpe ratio
+whenever some mean is positive, which certifies the answer.
 
 The problem built by :func:`sharpe_problem` carries an exact face finish,
 which the adaptive iteration tries once for each support of the weights that
@@ -110,8 +105,8 @@ returns_matrix = ReturnsMatrix
 class SharpeModel:
     """Assembled objective data and the step bound eps_hat / (2*N*lambda1*||p||) it derives.
 
-    DimensionError unless p is (N,) and q_eps (N, N); InvalidParameter unless lambda1 is
-    positive and finite; DegenerateModel when every mean is zero or the bound is not.
+    DimensionError unless p is (N,) and q_eps (N, N); InvalidParameter unless eps_hat and
+    lambda1 are positive and finite; DegenerateModel when every mean is zero or the bound is not.
     """
 
     p: np.ndarray
@@ -123,6 +118,7 @@ class SharpeModel:
     def __post_init__(self):
         if self.p.ndim != 1 or self.q_eps.shape != (self.p.size,) * 2:
             raise DimensionError(f"p of shape {self.p.shape} with q_eps {self.q_eps.shape}")
+        positive("eps_hat", self.eps_hat)
         positive("lambda1", self.lambda1)
         p_norm = math.sqrt(np.vdot(self.p, self.p))  # np.linalg.norm's sum, never warning
         if p_norm == 0.0 and not self.p.any():
@@ -283,34 +279,34 @@ class SrmResult:
 
 
 def _start(model):
-    """The start of :func:`srm_pga`, each tier certified by p.w > 0 where some mean is positive.
+    """The start of :func:`srm_pga`: the first tier that passes one test, else a vertex.
 
-    The clipped tangency portfolio max(Q^-1 p, 0) normalized, when Q is invertible in
-    float64, its mass is positive and finite and p.w > 0 there; else max(p, 0)/diag(Q)
-    normalized; else the vertex of the largest p_i/sqrt(Q_ii).
+    The tiers are the tangency portfolio Q^-1 p clipped to the long-only set (Q^-1 p
+    solves Cornuejols & Tutuncu's QP form min y.Q.y s.t. p.y = 1 without its bound y >= 0;
+    no tier when Q is singular in float64), then max(p, 0)/diag(Q), the KKT point of that
+    QP with Q replaced by its diagonal. A tier passes when its mass is positive and finite
+    and, normalized, p.w > 0; clipping can make p.w negative, so that test is what
+    certifies the start. Else the vertex of the largest p_i/sqrt(Q_ii), the maximizer of
+    the then quasiconvex ratio when no mean is positive.
     """
     p = model.p
+    d = np.diag(model.q_eps)
     # a zero pivot, a zero variance (a model built without eps_hat) or weights
     # beyond the float range only move the start down a tier; the oracle
     # rejects a vertex it cannot evaluate
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         try:
-            x0 = np.maximum(np.linalg.solve(model.q_eps, p), 0.0)
+            tiers = [np.maximum(np.linalg.solve(model.q_eps, p), 0.0)]
         except np.linalg.LinAlgError:  # Q_eps is singular in float64
-            x0 = np.zeros(p.size)
-        total = x0.sum()
-        if 0.0 < total < math.inf:
-            x0 /= total
-            if p @ x0 > 0.0:
-                return x0
-        d = np.diag(model.q_eps)
-        x0 = np.maximum(p, 0.0) / d
-        total = x0.sum()
-        if 0.0 < total < math.inf:
-            x0 /= total
-        else:  # no positive mean, or weights beyond the float range
-            x0 = np.zeros(p.size)
-            x0[np.argmax(p / np.sqrt(d))] = 1.0
+            tiers = []
+        for x0 in tiers + [np.maximum(p, 0.0) / d]:
+            total = x0.sum()
+            if 0.0 < total < math.inf:
+                x0 /= total
+                if p @ x0 > 0.0:
+                    return x0
+        x0 = np.zeros(p.size)
+        x0[np.argmax(p / np.sqrt(d))] = 1.0
     return x0
 
 
@@ -324,22 +320,13 @@ def srm_pga(model, cfg=None):
     paper's fixed step at 0.99 of the admissible bound with the
     relative-change stop.
 
-    Either step rule solves once, from a start where the Sharpe ratio is
-    positive whenever some mean is positive. The first choice is the
-    tangency portfolio Q^-1 p, which solves the QP form min y.Q.y s.t.
-    p.y = 1 without its bound y >= 0, clipped to the long-only set: w
-    proportional to max(Q^-1 p, 0), at the cost of one LU solve. It is taken
-    when Q is invertible in float64, the clipped weights have positive,
-    finite mass and p.w > 0 there; clipping can make p.w negative, so that
-    last test is what certifies it. Where Q^-1 p is long-only it is the
-    optimum itself, and elsewhere it usually lies on or near the optimal
-    face. Otherwise the start is w proportional to max(p, 0)/diag(Q), the
-    KKT point of the QP form with Q replaced by its diagonal, where p.w is a
-    positive multiple of the sum of p_i**2/Q_ii over p_i > 0. From either
-    start the monotone descent ends certified with p.w > 0, at the global
+    Either step rule solves once, from the start of :func:`_start` (one LU
+    solve): where Q^-1 p is long-only the start is the optimum itself, and
+    elsewhere it usually lies on or near the optimal face. From a start with
+    p.w > 0 the monotone descent ends certified with p.w > 0, at the global
     maximizer, and a diagonal Q is solved after one iteration. When no mean
-    is positive it starts from the vertex of the largest p_i/sqrt(Q_ii), the
-    maximizer of the then quasiconvex ratio, and stops after one iteration.
+    is positive the start is the maximizing vertex, and the solve stops after
+    one iteration.
 
     In adaptive mode the solve usually ends on the exact face finish of
     :func:`sharpe_problem`: once the support of the weights has held for 3

@@ -196,6 +196,12 @@ class TestLoader:
         assert excinfo.value.row == 1
         assert excinfo.value.col == 3
 
+    def test_label_column_alone_defines_no_assets(self, tmp_path):
+        path = write_csv(tmp_path, "date\n2020-01\n2020-02\n")
+        with pytest.raises(ParseError, match="header defines no asset columns") as excinfo:
+            load_returns_csv(path)
+        assert excinfo.value.row == 1
+
     def test_nan_cell_rejected(self, tmp_path):
         path = write_csv(tmp_path, "date,A,B\nx,1.0,2.0\ny,3.0,nan\n")
         with pytest.raises(ParseError):

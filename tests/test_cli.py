@@ -71,6 +71,11 @@ class TestSim1Command:
         code, _, _ = run_cli(capsys, "sim1", "--p", "1,2,3")
         assert code == 2
 
+    def test_unparsable_vector_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sim1", "--p", "a,b")
+        assert (code, out) == (2, "")
+        assert "error: --p: could not parse 'a,b'" in err
+
     def test_trace_csv(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "sim1", "--p", "2,-1", "--trace", "--out", str(tmp_path)

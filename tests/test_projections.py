@@ -7,6 +7,9 @@ from conftest import simplex_qp_oracle
 from fracopt.errors import DimensionError, InvalidParameter, NumericalBreakdown
 from fracopt.projections import band_projector, project_simplex
 
+# a projection that warns on finite input fails here, not only under -W error
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def reference_project_simplex(x):
     """The sort-based projection as first written: copy, validate, np.sort,
@@ -193,11 +196,10 @@ class TestBitIdentity:
         ],
     )
     def test_raises_as_the_frozen_formula_does(self, x):
-        with np.errstate(all="ignore"):
-            with pytest.raises(Exception) as expected:
-                frozen_project_simplex(x)
-            with pytest.raises(expected.type) as got:
-                project_simplex(x)
+        with np.errstate(all="ignore"), pytest.raises(Exception) as expected:
+            frozen_project_simplex(x)
+        with pytest.raises(expected.type) as got:
+            project_simplex(x)
         assert str(got.value) == str(expected.value)
 
 
@@ -208,8 +210,7 @@ class TestValidation:
         ids=["nan", "+inf", "-inf", "inf-minus-inf", "lone-nan"],
     )
     def test_non_finite_rejected(self, x):
-        # inf - inf in the running sum may warn before the check raises
-        with np.errstate(invalid="ignore"), pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter):
             project_simplex(x)
 
     def test_two_dimensional_rejected(self):
@@ -239,7 +240,8 @@ class TestValidation:
         # at 1e16 and 1e17 and down to u[0] - 2 at 1e16 + 2 (the formula gave
         # [2, 0]), the running sum 2**53 + 1 rounds to 2**53 (it gave [1, 1]),
         # and the total overflows at 1e308 and to -inf at -1e308 (it gave
-        # inf); each answer is the projection of x - max(x)
+        # inf); each answer is the projection of x - max(x), given without a
+        # RuntimeWarning
         cases = [
             ([1e16, 0.0], [1.0, 0.0]),
             ([1e308, 1e308], [0.5, 0.5]),
@@ -252,9 +254,8 @@ class TestValidation:
             ([0.25, 0.0, -1e308, -1e308], [0.625, 0.375, 0.0, 0.0]),
         ]
         for x, expected in cases:
-            with np.errstate(over="ignore"):
-                got = project_simplex(x)
-                shifted = project_simplex(np.subtract(x, max(x)))
+            got = project_simplex(x)
+            shifted = project_simplex(np.subtract(x, max(x)))
             assert got.tobytes() == np.array(expected).tobytes(), x
             assert got.tobytes() == shifted.tobytes(), x
 
@@ -277,9 +278,73 @@ class TestValidation:
     def test_large_entries_whose_shift_overflows(self, x, expected):
         # x - max(x) overflows to -inf on the first input, so projecting the
         # shifted vector is no substitute for the whole-number branch
-        with np.errstate(over="ignore"):
-            got = project_simplex(x)
+        got = project_simplex(x)
         assert got.tobytes() == np.array(expected).tobytes()
+
+
+def guard_route_inputs():
+    """Both sides of each bound the guard reads off the sorted extremes, each
+    untied and with ties: |u[0]| one ulp below, at and one ulp above 2^52 with
+    either sign; u[-1] one ulp above, at and one ulp below -2^60, and -1e308;
+    and u[0] at and above 2^52 beside a u[-1] below -2^60."""
+    for m in (np.nextafter(2.0**52, 0.0), 2.0**52, np.nextafter(2.0**52, math.inf)):
+        for top in (float(m), -float(m)):
+            low = 0.0 if top > 0 else top - 8.0
+            yield [top - 1.0, top, low, top - 4.0]
+            yield [top, top - 4.0, top, low]
+    below = float(np.nextafter(-(2.0**60), -math.inf))
+    for b in (float(np.nextafter(-(2.0**60), 0.0)), -(2.0**60), below, -1e308):
+        yield [0.3, b, 0.1, -0.2]
+        yield [0.3, b, 0.3, b]
+    for b in (below, -1e308):
+        yield [2.0**52, b, 2.0**52 - 0.5]
+        yield [b, 2.0**52 + 1.0, 2.0**52 + 1.0, b]
+
+
+# the running-sum form's outputs for guard_route_inputs(), in order; up to
+# 2^52 its sum rounds, so some of them lie off the simplex
+GUARD_ROUTE_OUTPUTS = [
+    [0.0, 1.0, 0.0, 0.0],
+    [0.5, 0.0, 0.5, 0.0],
+    [0.0, 0.5, 0.0, 0.0],
+    [0.5, 0.0, 0.5, 0.0],
+    [0.0, 1.0, 0.0, 0.0],
+    [0.5, 0.0, 0.5, 0.0],
+    [0.0, 1.0, 0.0, 0.0],
+    [1.0, 0.0, 1.0, 0.0],
+    [0.0, 1.0, 0.0, 0.0],
+    [0.5, 0.0, 0.5, 0.0],
+    [0.0, 1.0, 0.0, 0.0],
+    [0.5, 0.0, 0.5, 0.0],
+] + [
+    [0.5666666666666667, 0.0, 0.3666666666666667, 0.06666666666666665],
+    [0.5, 0.0, 0.5, 0.0],
+] * 4 + [
+    [1.0, 0.0, 0.5],
+    [0.0, 0.5, 0.5, 0.0],
+] * 2
+
+
+class TestGuardRoutes:
+    @pytest.mark.parametrize(
+        "x, expected", list(zip(guard_route_inputs(), GUARD_ROUTE_OUTPUTS, strict=True))
+    )
+    def test_finite_routes_keep_their_bytes(self, x, expected):
+        got = project_simplex(x)
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize(
+        "rest",
+        [[0.5, 0.2, 0.1], [0.5, 0.5, 0.1], [2.0**53, 2.0**53, -1e308]],
+        ids=["untied", "tied", "past-both-bounds"],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_entry_at_any_position_raises(self, bad, rest, position):
+        x = rest[:position] + [bad] + rest[position:]
+        with pytest.raises(InvalidParameter) as got:
+            project_simplex(x)
+        assert str(got.value) == "vector entries must be finite (no NaN/Inf)"
 
 
 class TestBand:

@@ -50,6 +50,8 @@ class TestReturnsMatrix:
     def test_period_label_mismatch(self):
         with pytest.raises(InvalidParameter):
             ReturnsMatrix(np.zeros((3, 2)), ("A", "B"), ("p1",))
+        with pytest.raises(InvalidParameter, match="^2 period labels for 3 rows$"):
+            ReturnsMatrix(np.zeros((3, 2)), None, ("a", "b"))
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -205,6 +207,12 @@ class TestBuildModel:
             with pytest.raises(DegenerateModel, match="step bound 0.0 is not positive"):
                 SharpeModel(np.full(3, 1e154), np.eye(3), 1e-4, 1.0)
 
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_eps_is_a_parameter_error_on_construction(self, eps):
+        # like a bad lambda1, not a DegenerateModel (a data error)
+        with pytest.raises(InvalidParameter, match="eps_hat must be positive and finite"):
+            SharpeModel(np.array([0.1, 0.2]), np.eye(2), eps, 1.0)
+
     def test_bad_eps(self):
         with pytest.raises(InvalidParameter):
             build_sharpe_model(constant_returns([0.1, 0.2], 3), 0.0)
@@ -263,6 +271,11 @@ class TestObjective:
             problem = sharpe_problem(random_model(np.random.default_rng(n), t=12, n=n))
             with pytest.raises(NumericalBreakdown):
                 problem.eval_g(np.zeros(n))
+
+    def test_problem_denominator_undefined_where_q_vanishes(self):
+        problem = sharpe_problem(SharpeModel(np.array([0.1, 0.2]), np.zeros((2, 2)), 1e-4, 1.0))
+        with pytest.raises(NumericalBreakdown, match=r"^w\.Q\.w = 0\.0: "):
+            problem.eval_g(np.array([0.5, 0.5]))
 
 
 class TestSrmPga:
