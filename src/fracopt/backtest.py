@@ -16,7 +16,9 @@ import enum
 import io
 import json
 import math
+import os
 import re
+import stat
 from dataclasses import dataclass
 from typing import Optional
 
@@ -282,7 +284,7 @@ def run_backtest(r, cfg):
 
 
 def report_to_json(report, path):
-    """Write summary metrics and the config echo as JSON."""
+    """Write summary metrics and the config echo as JSON, over an existing file in place."""
     payload = {
         "strategy": report.strategy.value,
         "window": report.window,
@@ -298,7 +300,8 @@ def report_to_csv(report, path, asset_labels=None):
     """Write each period's return, wealth and weights at full precision, one label per weight.
 
     The labels default to A1..AN only when ``asset_labels`` is None; any other
-    count than one per weight column raises InvalidParameter.
+    count than one per weight column raises InvalidParameter. An existing
+    file is overwritten in place, not truncated first.
     """
     n = report.weights_history.shape[1]
     labels = [f"A{j + 1}" for j in range(n)] if asset_labels is None else list(asset_labels)
@@ -313,23 +316,39 @@ def report_to_csv(report, path, asset_labels=None):
 
 
 def _write_json(path, payload):
-    """Write ``payload`` as JSON indented by 2, with a final newline."""
-    text = json.dumps(payload, indent=2) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    """Write ``payload`` as JSON indented by 2, with a final newline, in place."""
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _write_rows(path, header, labels, table):
-    """Write a CSV of the header, then each label followed by its row of Python floats."""
+    """Write a CSV of the header, then each label followed by its row of Python floats, in place."""
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
     # csv writes a float as str(), its repr, which never needs quoting, so
     # joining the reprs writes csv.writer's bytes at two thirds of its cost
     lines = [
         f"{label},{','.join(map(repr, row))}\r\n"
         for label, row in zip(_csv_cells(labels), table, strict=True)
     ]
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.write("".join(lines))
+    _write_text(path, head.getvalue() + "".join(lines), newline="")
+
+
+def _write_text(path, text, newline=None):
+    """Write ``text`` over the file at ``path`` in place, as ``open(path, "w")`` would.
+
+    The file is not cut to zero before the write but after it, and only when
+    it is a regular file, so ext4's ``auto_da_alloc`` starts no writeback on
+    close. Bytes, inode, hard links, symlink targets, mode and error classes
+    are those of ``open(path, "w")``. Neither way is atomic: an interrupted
+    write can leave old bytes past the new ones, as a truncating open can
+    leave a cut file.
+    """
+    # O_BINARY (Windows only) leaves newline handling to the text layer
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", newline=newline) as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _csv_cells(values):

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -642,6 +643,64 @@ class TestExport:
             report_to_json(r, tmp_path / "report.json")
             written += [(tmp_path / name).read_bytes() for name in ("periods.csv", "report.json")]
         assert tuple(hashlib.sha256(b).hexdigest() for b in written) == digests
+
+    # an existing file is overwritten in place: never cut to zero first, cut
+    # to the new length after the write
+    WRITERS = [report_to_csv, report_to_json]
+
+    @staticmethod
+    def _long_and_short_reports():
+        long = run_backtest(AWKWARD_PANEL, BacktestConfig(window=4, strategy="srm-pga"))
+        short = run_backtest(SYNTHETIC_6x2, BacktestConfig(window=3, strategy="market"))
+        return long, dataclasses.replace(short, sharpe=0.0, final_wealth=1.0, eps_hat=1.0)
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_overwrite_with_a_shorter_report_equals_a_fresh_write(self, tmp_path, writer):
+        long, short = self._long_and_short_reports()
+        path, fresh = tmp_path / "report", tmp_path / "fresh"
+        writer(long, path)
+        longer = path.read_bytes()
+        writer(short, path)
+        writer(short, fresh)
+        assert len(fresh.read_bytes()) < len(longer)
+        assert path.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_overwrite_keeps_the_inode_links_and_mode(self, tmp_path, writer):
+        # what open(path, "w") keeps, and a writer that unlinks and creates,
+        # or renames a temporary file over the path, would not
+        long, short = self._long_and_short_reports()
+        target, link, alias = tmp_path / "target", tmp_path / "link", tmp_path / "alias"
+        writer(long, target)
+        os.link(target, link)
+        alias.symlink_to(target)
+        target.chmod(0o640)
+        before = target.stat()
+        writer(short, target)
+        after = target.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert link.read_bytes() == target.read_bytes()
+        writer(long, alias)
+        assert alias.is_symlink()
+        assert target.stat().st_ino == before.st_ino
+        assert target.read_bytes() == link.read_bytes() == alias.read_bytes()
+        writer(long, tmp_path / "fresh")
+        assert target.read_bytes() == (tmp_path / "fresh").read_bytes()
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_a_device_target_is_written_without_truncation(self, writer):
+        # a character device cannot be truncated; the write goes through
+        long, _ = self._long_and_short_reports()
+        writer(long, os.devnull)
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_a_directory_target_raises_what_open_raises(self, tmp_path, writer):
+        long, _ = self._long_and_short_reports()
+        with pytest.raises(OSError) as expected:
+            open(tmp_path, "w")
+        with pytest.raises(type(expected.value)):
+            writer(long, tmp_path)
+        assert tmp_path.is_dir()
 
 
 def _csv_writer_bytes(report, labels):
