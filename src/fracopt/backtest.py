@@ -34,8 +34,8 @@ from .errors import (
     ParseError,
     WealthWipeout,
 )
-from .linalg import choice, integer, positive
-from .sharpe import ReturnsMatrix, build_sharpe_model, srm_pga
+from .linalg import choice, finite, integer, positive
+from .sharpe import _EPS_HAT, ReturnsMatrix, build_sharpe_model, srm_pga
 
 
 # what makes csv.writer quote a string cell under its default dialect
@@ -57,7 +57,7 @@ class ReturnsUnit(str, enum.Enum):
 class BacktestConfig:
     window: int = 20
     strategy: Strategy = Strategy.SRM_PGA
-    eps_hat: float = 1e-4
+    eps_hat: float = _EPS_HAT
 
     def __post_init__(self):
         object.__setattr__(self, "strategy", choice("strategy", Strategy, self.strategy))
@@ -195,7 +195,7 @@ def _in_float_range(what, compute):
 
 def compute_sharpe(returns):
     """Mean over sample standard deviation (ddof 1), zero risk-free rate."""
-    r = np.asarray(returns, dtype=float)
+    r = finite("returns", returns)
     if r.size < 2:
         raise InsufficientData(f"need at least 2 returns, got {r.size}")
     # the variance sums the returns as the mean does, so a finite std has a finite mean
@@ -207,7 +207,7 @@ def compute_sharpe(returns):
 
 def compute_wealth(returns):
     """Cumulative wealth path from 1; returns (final, path)."""
-    r = np.asarray(returns, dtype=float)
+    r = finite("returns", returns)
     wiped = np.flatnonzero(r <= -1.0)
     if wiped.size:
         raise WealthWipeout(f"period {wiped[0] + 1}: portfolio lost 100% or more")
@@ -219,8 +219,11 @@ def compute_wealth(returns):
 
 def market_strategy_step(state, price_relatives):
     """Drift holdings with prices: (state * x) / sum(state * x), no rebalancing."""
-    state = np.asarray(state, dtype=float)
-    x = np.asarray(price_relatives, dtype=float)
+    return _drift(finite("holdings", state), finite("price relatives", price_relatives))
+
+
+def _drift(state, x):
+    # market_strategy_step on finite float arrays, which run_backtest holds
     held = state * x
     total = _in_float_range("a realized return", lambda: float(held.sum()))
     if held.min() < 0.0:
@@ -262,7 +265,7 @@ def run_backtest(r, cfg):
                     nonconverged.append(t + 1)
             weights[t] = w
             if cfg.strategy is Strategy.MARKET:
-                w = market_strategy_step(w, relatives[t])
+                w = _drift(w, relatives[t])
     except FracoptError as exc:
         raise type(exc)(f"period {t + 1}: {exc}") from exc
 

@@ -61,7 +61,7 @@ def _solve_paper_problem(args, name, problem, report=None):
     """
     x0 = _parse_floats(args.x0, 2, "--x0")
     cfg = PgaConfig(
-        alpha=args.alpha_frac * problem.step_bound,
+        alpha=None if args.alpha_frac is None else args.alpha_frac * problem.step_bound,
         tol=args.tol,
         max_iter=args.max_iter,
         record_trace=args.trace,
@@ -158,23 +158,24 @@ def build_parser():
     p2.add_argument("--a", required=True, help="six coefficients 'a1,a2,a3,a4,a5,a6'")
     # sim2's tol is tighter than sim1's: the flat optimal segment needs it for
     # the first coordinate to reach 4-decimal zero before the step test fires
-    for p, x0, tol in ((p1, "0.5,0.5", 1e-5), (p2, "50,50", 1e-7)):
+    for p, x0, tol in ((p1, "0.5,0.5", PgaConfig.tol), (p2, "50,50", 1e-7)):
         p.add_argument("--x0", default=x0, help=f"starting point (default {x0})")
-        p.add_argument("--alpha-frac", type=float, default=0.99, help="fraction of the step bound")
+        p.add_argument("--alpha-frac", type=float, help="fraction of the step bound")
         p.add_argument("--tol", type=float, default=tol, help="relative-change stopping tolerance")
-        p.add_argument("--max-iter", type=int, default=100_000)
+        p.add_argument("--max-iter", type=int, default=PgaConfig.max_iter)
         p.add_argument("--trace", action="store_true", help="write the iterate trace CSV")
         p.add_argument("--out", default=".", help="output directory")
 
     ps = sub.add_parser("sharpe", help="optimize portfolio weights from a returns CSV")
     pb = sub.add_parser("backtest", help="moving-window backtest of a strategy")
+    units, defaults = bt.ReturnsUnit, bt.BacktestConfig
     for p in (ps, pb):
         p.add_argument("--data", required=True, help="returns CSV path")
-        p.add_argument("--unit", choices=[u.value for u in bt.ReturnsUnit], default="decimal")
-        p.add_argument("--eps", type=float, default=1e-4, help="variance regularizer")
+        p.add_argument("--unit", choices=[u.value for u in units], default=units.DECIMAL)
+        p.add_argument("--eps", type=float, default=defaults.eps_hat, help="variance regularizer")
         p.add_argument("--out", default=".", help="output directory")
-    pb.add_argument("--strategy", choices=[s.value for s in bt.Strategy], default="srm-pga")
-    pb.add_argument("--window", type=int, default=20)
+    pb.add_argument("--strategy", choices=[s.value for s in bt.Strategy], default=defaults.strategy)
+    pb.add_argument("--window", type=int, default=defaults.window)
 
     return parser
 

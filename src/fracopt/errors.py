@@ -17,10 +17,6 @@ class InvalidMatrix(FracoptError):
     """Matrix input is not square or not symmetric enough."""
 
 
-class NoConvergence(FracoptError):
-    """An iterative routine exhausted its iteration budget."""
-
-
 class PositivityViolation(FracoptError):
     """The denominator g became non-positive at an iterate."""
 

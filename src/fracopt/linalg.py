@@ -1,11 +1,11 @@
 """Input validation and dominant-eigenvalue estimation.
 
 Every parameter and vector the package takes is checked on entry by
-``positive``, ``nonnegative``, ``integer``, ``choice`` or ``as_vector``, each
-raising InvalidParameter that names the input. All arithmetic is 64-bit floating
-point on numpy arrays, and the routines never mutate their inputs;
-``dominant_eigenvalue`` reads its matrix in place, so a model build hands
-it the Gram matrix it has just formed without a second N x N array.
+``positive``, ``nonnegative``, ``integer``, ``choice``, ``finite`` or
+``as_vector``, each raising InvalidParameter that names the input. All
+arithmetic is 64-bit floating point on numpy arrays, and the routines never
+mutate their inputs; ``dominant_eigenvalue`` reads its matrix in place, so a
+model build hands it the Gram matrix it has just formed without a copy.
 """
 
 import math
@@ -13,7 +13,7 @@ import numbers
 
 import numpy as np
 
-from .errors import DimensionError, InvalidMatrix, InvalidParameter, NoConvergence
+from .errors import DimensionError, InvalidMatrix, InvalidParameter
 
 _SYMMETRY_RTOL = 1e-10
 
@@ -45,6 +45,14 @@ def choice(name, kind, value):
         raise InvalidParameter(f"{name} must be one of {allowed}, got {value!r}") from None
 
 
+def finite(name, values):
+    """``values`` as a float64 array, not copied when it is one, with no NaN or Inf entry."""
+    a = np.asarray(values, dtype=float)
+    if not np.isfinite(a).all():
+        raise InvalidParameter(f"{name} must be finite")
+    return a
+
+
 def as_vector(x, length=None, name="x"):
     """Coerce to a finite 1-d float64 array (of ``length`` entries if given), copying the input."""
     v = np.array(x, dtype=float)
@@ -57,8 +65,8 @@ def as_vector(x, length=None, name="x"):
     return v
 
 
-def dominant_eigenvalue(m, tol=1e-10, max_iter=10_000):
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
+def dominant_eigenvalue(m, tol=1e-10, max_iter=1_000):
+    """Largest eigenvalue of a symmetric PSD matrix by power iteration, else by LAPACK.
 
     Starts from a fixed deterministic ramp vector (1, 2, ..., n normalized;
     the all-ones vector can be exactly orthogonal to the dominant
@@ -66,16 +74,16 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=10_000):
     smaller eigenvalue). Each sweep forms one product A.v, takes the
     Rayleigh quotient v.(A.v) of the unit vector v from it, and moves v to
     A.v normalized; the iteration stops when the quotient changes by at most
-    ``tol`` relative between sweeps.
+    ``tol`` relative between sweeps. Where ``max_iter`` sweeps leave it
+    unsettled, or A.v = 0 at the ramp, ``np.linalg.eigvalsh`` answers.
 
     The input is read in place and never written; with its largest entry
-    outside (2**-400, 2**400), the sweep runs on a copy scaled by a power of
-    two. Raises DimensionError for input that is not a non-empty 2-d array,
+    outside (2**-400, 2**400), both run on a copy scaled by a power of two.
+    Raises DimensionError for input that is not a non-empty 2-d array,
     InvalidParameter for NaN or Inf entries or a result beyond the float
     range, InvalidMatrix for non-square or asymmetric input (beyond 1e-10
-    relative asymmetry), InvalidParameter unless ``tol`` is positive and
-    finite and ``max_iter`` is an integer >= 1, and NoConvergence if
-    ``max_iter`` sweeps do not settle the Rayleigh quotient.
+    relative asymmetry), and InvalidParameter unless ``tol`` is positive and
+    finite and ``max_iter`` is an integer >= 1.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
@@ -112,24 +120,20 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=10_000):
     v = np.arange(1.0, n + 1.0)
     v /= sqrt(v.dot(v))
     tiny = np.finfo(float).tiny
-    lam = None
-    restarts = 0
+    lam, settled = None, False
     for _ in range(max_iter):
         w = matvec(v)
         wn = sqrt(w.dot(w))
-        if wn == 0.0:
-            # v fell in the nullspace; restart from the next basis vector
-            if restarts >= n:
-                return 0.0
-            v = np.zeros(n)
-            v[restarts] = 1.0
-            restarts += 1
-            continue
+        if wn == 0.0:  # the ramp start lies in the nullspace
+            break
         lam_new = float(v.dot(w))
-        if lam is not None and abs(lam_new - lam) <= tol * max(abs(lam_new), tiny):
-            if math.frexp(lam_new)[1] + e > 1024:
-                raise InvalidParameter(f"the eigenvalue {lam_new} * 2**{e} exceeds the float range")
-            return math.ldexp(lam_new, e)
+        settled = lam is not None and abs(lam_new - lam) <= tol * max(abs(lam_new), tiny)
         lam = lam_new
+        if settled:
+            break
         v = w / wn
-    raise NoConvergence(f"power iteration did not converge in {max_iter} sweeps")
+    if not settled:
+        lam = float(np.linalg.eigvalsh(a)[-1])
+    if math.frexp(lam)[1] + e > 1024:
+        raise InvalidParameter(f"the eigenvalue {lam} * 2**{e} exceeds the float range")
+    return math.ldexp(lam, e)

@@ -30,8 +30,8 @@ point is the maximiser. The answer depends on the support alone, not on
 where the weights sit on it.
 
 Each dense product is formed once. ``build_sharpe_model`` demeans, scales
-and regularizes the Gram matrix in place and hands it to the power
-iteration without a copy. The oracle's ``eval_g`` keeps Q.w and
+and regularizes the Gram matrix in place and hands it to
+``dominant_eigenvalue`` without a copy. The oracle's ``eval_g`` keeps Q.w and
 g = sqrt(w.(Q.w)) with the bytes of w, and ``grad_g`` reuses them when its
 point has those bytes, so a solver iteration pays one product with Q per
 trial point. ``sharpe_objective`` evaluates S(w) through that same oracle.
@@ -49,13 +49,13 @@ from .errors import (
     DimensionError,
     InsufficientData,
     InvalidParameter,
-    NoConvergence,
     NumericalBreakdown,
 )
-from .linalg import as_vector, dominant_eigenvalue, positive
+from .linalg import as_vector, dominant_eigenvalue, finite, positive
 from .projections import project_simplex
 
 _EIG_TOL = 1e-8
+_EPS_HAT = 1e-4  # the default eps_hat, also BacktestConfig's and the command line's
 # srm_pga's default; a frozen config is safe to share between calls
 _ADAPTIVE = PgaConfig(adaptive=True)
 
@@ -76,8 +76,7 @@ class ReturnsMatrix:
             raise InsufficientData(f"need at least 2 periods, got {v.shape[0]}")
         if v.shape[1] < 1:
             raise DimensionError("need at least one asset column")
-        if not np.all(np.isfinite(v)):
-            raise InvalidParameter("returns must be finite")
+        finite("returns", v)
         object.__setattr__(self, "values", v)
         if self.asset_labels is None:
             object.__setattr__(self, "asset_labels", [f"A{j + 1}" for j in range(v.shape[1])])
@@ -139,16 +138,14 @@ class SharpeModel:
         return 2.0 * self.lambda1 * np.sqrt(self.n_assets / self.eps_hat)
 
 
-def build_sharpe_model(r, eps_hat=1e-4):
+def build_sharpe_model(r, eps_hat=_EPS_HAT):
     """Assemble the Sharpe objective from a returns matrix.
 
     p is the column mean of the returns; the demeaned, 1/sqrt(T-1)-scaled
     matrix forms the Gram term; eps_hat*I regularizes it. Both steps work in
     place on arrays the build allocates, with the rounding of the direct
-    formula. lambda1 comes from the power iteration, or from
-    ``np.linalg.eigvalsh`` when the top eigenvalues lie too close for 1,000
-    sweeps to settle (low-volatility returns, where Q_eps is close to
-    eps_hat*I). Raises DegenerateModel when the mean, the Gram matrix or lambda1
+    formula. lambda1 is :func:`fracopt.linalg.dominant_eigenvalue`'s answer at
+    tol 1e-8. Raises DegenerateModel when the mean, the Gram matrix or lambda1
     leaves the float range, when fewer than N+1 rows leave the Gram matrix
     singular and eps_hat is lost to rounding beside lambda1 (so w.Q.w can
     round below zero), or when :class:`SharpeModel` finds no step bound.
@@ -162,12 +159,10 @@ def build_sharpe_model(r, eps_hat=1e-4):
         q /= np.sqrt(t - 1.0)
         q_eps = q.T @ q
         q_eps.flat[:: n + 1] += eps_hat
-    try:  # an overflow above leaves q_eps non-finite, which the power iteration rejects
-        lambda1 = dominant_eigenvalue(q_eps, tol=_EIG_TOL, max_iter=1_000)
+    try:  # an overflow above leaves q_eps non-finite, which dominant_eigenvalue rejects
+        lambda1 = dominant_eigenvalue(q_eps, tol=_EIG_TOL)
     except InvalidParameter as exc:
         raise DegenerateModel(f"the returns leave the float range: {exc}") from None
-    except NoConvergence:  # top eigenvalues too close to separate: ask LAPACK
-        lambda1 = float(np.linalg.eigvalsh(q_eps)[-1])
     if t - 1 < n and eps_hat <= n * lambda1 * 2.0**-52:
         raise DegenerateModel(
             f"{t} x {n} returns give a singular Gram matrix, and eps_hat {eps_hat} is "

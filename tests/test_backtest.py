@@ -349,6 +349,18 @@ class TestMetrics:
             with pytest.raises(DataError, match="Sharpe ratio leaves the float range"):
                 compute_sharpe([1e200, -1e200, 3e200])
 
+    def test_sharpe_of_non_finite_returns_is_a_parameter_error(self):
+        # ReturnsMatrix's check and message; NaN once gave a NaN ratio
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidParameter, match="^returns must be finite$"):
+                compute_sharpe([bad, 0.01, 0.02])
+
+    def test_wealth_of_non_finite_returns_is_a_parameter_error(self):
+        # Inf once gave the wealth path (inf, inf)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidParameter, match="^returns must be finite$"):
+                compute_wealth([bad, 0.01])
+
 
 class TestMarketStep:
     def test_drift(self):
@@ -371,6 +383,17 @@ class TestMarketStep:
         # the total stays positive, but a negative holding leaves the simplex
         with pytest.raises(WealthWipeout, match="lost more than 100%"):
             market_strategy_step([0.5, 0.5], [-0.2, 1.5])
+
+    def test_non_finite_input_is_a_parameter_error(self):
+        # an infinite price relative once divided inf by inf: NaN weights and
+        # numpy's bare RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(InvalidParameter, match="^price relatives must be finite$"):
+                    market_strategy_step([0.5, 0.5], [bad, 1.0])
+                with pytest.raises(InvalidParameter, match="^holdings must be finite$"):
+                    market_strategy_step([bad, 0.5], [1.0, 1.0])
 
 
 class TestRunBacktest:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracopt.errors import DimensionError, InvalidMatrix, InvalidParameter, NoConvergence
+from fracopt.errors import DimensionError, InvalidMatrix, InvalidParameter
 from fracopt.linalg import as_vector, dominant_eigenvalue, integer, nonnegative, positive
 
 
@@ -15,28 +15,24 @@ def random_psd(rng, n):
 
 def frozen_power_sweep(a, tol=1e-10, max_iter=10_000):
     """dominant_eigenvalue's sweep as it stood with np.linalg.norm in the
-    loop, for a valid nonzero symmetric matrix. Kept as the byte reference."""
+    loop, for a valid nonzero symmetric matrix. Kept as the byte reference;
+    where the sweeps do not settle, or the ramp lies in the nullspace, the
+    answer is LAPACK's."""
     n = a.shape[0]
     v = np.arange(1.0, n + 1.0)
     v /= np.linalg.norm(v)
     lam = None
-    restarts = 0
     for _ in range(max_iter):
         w = a @ v
         wn = np.linalg.norm(w)
         if wn == 0.0:
-            if restarts >= n:
-                return 0.0
-            v = np.zeros(n)
-            v[restarts] = 1.0
-            restarts += 1
-            continue
+            break
         lam_new = float(v @ w)
         if lam is not None and abs(lam_new - lam) <= tol * max(abs(lam_new), np.finfo(float).tiny):
             return lam_new
         lam = lam_new
         v = w / wn
-    raise NoConvergence(f"power iteration did not converge in {max_iter} sweeps")
+    return float(np.linalg.eigvalsh(a)[-1])
 
 
 class TestDominantEigenvalue:
@@ -74,8 +70,20 @@ class TestDominantEigenvalue:
         assert dominant_eigenvalue(m, tol=1e-10) == pytest.approx(3.0, rel=1e-6)
 
     def test_no_convergence(self):
-        with pytest.raises(NoConvergence):
-            dominant_eigenvalue([[2.0, 1.0], [1.0, 2.0]], tol=1e-14, max_iter=1)
+        # one sweep settles nothing: the answer is LAPACK's
+        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        got = dominant_eigenvalue(m, tol=1e-14, max_iter=1)
+        assert got == float(np.linalg.eigvalsh(m)[-1]) == 3.0
+
+    def test_lapack_answers_on_the_scaled_copy(self):
+        # LAPACK runs on the copy scaled by a power of two, and its answer
+        # passes through the same ldexp and float-range check as the sweep's
+        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        for exponent in (-1000, 996):
+            got = dominant_eigenvalue(np.ldexp(m, exponent), max_iter=1)
+            assert got == math.ldexp(float(np.linalg.eigvalsh(m)[-1]), exponent)
+        with pytest.raises(InvalidParameter, match="float range"):
+            dominant_eigenvalue(1e308 * np.ones((3, 3)), max_iter=1)
 
     def test_bad_tol(self):
         with pytest.raises(InvalidParameter):
@@ -148,7 +156,7 @@ class TestDominantEigenvalue:
                 b = rng.normal(size=(n, max(1, n // 3)))
                 matrices.append(scale * (b @ b.T))
         # the ramp start lies in the nullspace of u u^T for u = (2, -1, 0):
-        # the first sweep restarts from the first basis vector
+        # the first sweep finds A.v = 0 and LAPACK answers
         u = np.array([2.0, -1.0, 0.0])
         restart = np.outer(u, u)
         assert not np.any(restart @ np.arange(1.0, 4.0))
@@ -165,6 +173,7 @@ class TestDominantEigenvalue:
                 expected = frozen_power_sweep(m, tol, 200_000)
                 got = dominant_eigenvalue(m, tol, 200_000)
                 assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+        assert dominant_eigenvalue(restart) == float(np.linalg.eigvalsh(restart)[-1])
         assert dominant_eigenvalue(restart) == pytest.approx(5.0, rel=1e-9)
 
     @pytest.mark.parametrize("exponent", [-1000, -532, 532, 996])

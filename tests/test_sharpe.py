@@ -12,7 +12,6 @@ from fracopt.errors import (
     DimensionError,
     InsufficientData,
     InvalidParameter,
-    NoConvergence,
     NumericalBreakdown,
 )
 from fracopt.linalg import dominant_eigenvalue
@@ -107,14 +106,36 @@ class TestBuildModel:
 
     def test_lambda1_from_lapack_past_the_sweep_budget(self):
         # low-volatility returns leave the top eigenvalues of Q_eps so close
-        # that the power iteration settles only after 6,072 sweeps here; past
-        # the build's budget of 1,000 it takes lambda1 from LAPACK
+        # that the power iteration settles only after 6,072 sweeps here, on a
+        # value other than LAPACK's; within its default budget of 1,000
+        # sweeps dominant_eigenvalue answers with LAPACK's
         values = np.random.default_rng(2).normal(0.005, 0.04, (60, 8)) * 0.01
         model = build_sharpe_model(returns_matrix(values))
-        dominant_eigenvalue(model.q_eps, tol=1e-8, max_iter=6_072)
-        with pytest.raises(NoConvergence):
-            dominant_eigenvalue(model.q_eps, tol=1e-8, max_iter=1_000)
-        assert model.lambda1 == float(np.linalg.eigvalsh(model.q_eps)[-1])
+        lapack = float(np.linalg.eigvalsh(model.q_eps)[-1])
+        assert dominant_eigenvalue(model.q_eps, tol=1e-8, max_iter=6_072) != lapack
+        assert dominant_eigenvalue(model.q_eps, tol=1e-8, max_iter=6_071) == lapack
+        assert dominant_eigenvalue(model.q_eps, tol=1e-8) == lapack
+        assert model.lambda1 == lapack
+
+    def test_lambda1_costs_one_call_and_one_lapack_solve(self, monkeypatch):
+        # the build leaves the LAPACK fallback to dominant_eigenvalue: one call
+        # of each on a low-volatility panel, whose sweeps do not settle
+        calls = {"dominant_eigenvalue": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            "fracopt.sharpe.dominant_eigenvalue", counted("dominant_eigenvalue", dominant_eigenvalue)
+        )
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        values = np.random.default_rng(2).normal(0.005, 0.04, (60, 8)) * 0.01
+        build_sharpe_model(returns_matrix(values))
+        assert calls == {"dominant_eigenvalue": 1, "eigvalsh": 1}
 
     def test_lambda1_from_the_power_iteration_within_the_sweep_budget(self):
         rng = np.random.default_rng(13)
