@@ -218,12 +218,17 @@ def compute_wealth(returns):
 
 
 def market_strategy_step(state, price_relatives):
-    """Drift holdings with prices: (state * x) / sum(state * x), no rebalancing."""
-    return _drift(finite("holdings", state), finite("price relatives", price_relatives))
+    """Drift holdings with prices: (state * x) / sum(state * x), no rebalancing.
+
+    A product or sum beyond the float range raises DataError.
+    """
+    state, x = finite("holdings", state), finite("price relatives", price_relatives)
+    return _in_float_range("a drifted holding", lambda: _drift(state, x))
 
 
 def _drift(state, x):
-    # market_strategy_step on finite float arrays, which run_backtest holds
+    # market_strategy_step without its checks: run_backtest's holdings lie on
+    # the simplex and its price relatives are finite, so no product overflows
     held = state * x
     total = _in_float_range("a realized return", lambda: float(held.sum()))
     if held.min() < 0.0:
@@ -325,15 +330,14 @@ def _write_json(path, payload):
 
 def _write_rows(path, header, labels, table):
     """Write a CSV of the header, then each label followed by its row of Python floats, in place."""
-    head = io.StringIO()
-    csv.writer(head).writerow(header)
     # csv writes a float as str(), its repr, which never needs quoting, so
     # joining the reprs writes csv.writer's bytes at two thirds of its cost
     lines = [
         f"{label},{','.join(map(repr, row))}\r\n"
         for label, row in zip(_csv_cells(labels), table, strict=True)
     ]
-    _write_text(path, head.getvalue() + "".join(lines), newline="")
+    head = ",".join(_csv_cells(header)) + "\r\n"
+    _write_text(path, head + "".join(lines), newline="")
 
 
 def _write_text(path, text, newline=None):

@@ -230,9 +230,5 @@ def main(argv=None):
         return EXIT_SOLVER
 
 
-def entrypoint():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

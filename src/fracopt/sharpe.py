@@ -92,10 +92,6 @@ class ReturnsMatrix:
                     f"{len(self.period_labels)} period labels for {v.shape[0]} rows"
                 )
 
-    @property
-    def n_assets(self):
-        return self.values.shape[1]
-
 
 returns_matrix = ReturnsMatrix
 

@@ -312,19 +312,27 @@ class TestAdaptiveMode:
     @pytest.mark.parametrize("cfg", [PgaConfig(), PgaConfig(adaptive=True)])
     def test_diagonal_q_stops_at_its_closed_form_optimum(self, cfg):
         # with a diagonal Q the start is the exact optimum, so the first
-        # iteration does not move it
+        # iteration does not move it; the same holds on independent returns
+        # whose tangency portfolio Q^-1 p is long-only, where the face finish
+        # offered as the stop fires gives that start back
         rng = np.random.default_rng(12)
         p = rng.normal(0.002, 0.01, 10)
         d = rng.uniform(1e-3, 4e-3, 10)
-        model = SharpeModel(p, np.diag(d), 1e-4, float(d.max()))
         assert p.min() < 0.0 < p.max()
-        best = np.maximum(p, 0.0) / d
-        best /= best.sum()
-        res = srm_pga(model, cfg)
-        assert res.result.iterations == 1
-        assert res.result.status is Status.CONVERGED
-        assert res.global_certificate
-        assert np.allclose(res.weights, best, rtol=0.0, atol=1e-12)
+        values = np.random.default_rng(0).normal(0.01, 0.02, (60, 3))
+        tangent = build_sharpe_model(returns_matrix(values))
+        tangency = np.linalg.solve(tangent.q_eps, tangent.p)
+        assert tangency.min() > 0.0
+        cases = [
+            (SharpeModel(p, np.diag(d), 1e-4, float(d.max())), np.maximum(p, 0.0) / d),
+            (tangent, tangency),
+        ]
+        for model, best in cases:
+            res = srm_pga(model, cfg)
+            assert res.result.iterations == 1
+            assert res.result.status is Status.CONVERGED
+            assert res.global_certificate
+            assert np.allclose(res.weights, best / best.sum(), rtol=0.0, atol=1e-12)
 
     def test_positive_mean_whose_start_weight_underflows_starts_at_the_vertex(self):
         # p_1/Q_11 = 1e-300/1e300 underflows to zero, so the diagonal start

@@ -395,6 +395,19 @@ class TestMarketStep:
                 with pytest.raises(InvalidParameter, match="^holdings must be finite$"):
                     market_strategy_step([bad, 0.5], [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "state, x",
+        [([1e200, 1.0], [1e200, 1.0]), ([1e300, 1e300], [1e10, 1e10])],
+        ids=["one-product", "every-product"],
+    )
+    def test_overflowing_product_is_a_data_error(self, state, x):
+        # finite holdings times finite price relatives once overflowed: NaN
+        # weights and numpy's bare RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match="^a drifted holding leaves the float range"):
+                market_strategy_step(state, x)
+
 
 class TestRunBacktest:
     def test_equal_weight_returns_are_row_means(self):

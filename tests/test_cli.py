@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -637,3 +639,26 @@ class TestUsage:
             capsys, "backtest", "--data", data, "--strategy", "alpha-gen"
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (SIM_ARGV["sim1"], 0),
+        (["sim1", "--p", "1,1"], 2),
+        ([*SIM_ARGV["sim2"], "--max-iter", "1"], 3),
+        (["sharpe", "--data", "."], 4),
+    ],
+    ids=["ok", "usage", "solver", "data"],
+)
+def test_module_entry_exits_with_mains_code(tmp_path, argv, code):
+    # `python -m fracopt.cli` reads sys.argv and exits with main's code, in a
+    # fresh interpreter where a RuntimeWarning is an error; "." is the working
+    # directory, a directory given as --data
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
+    package_root = os.path.dirname(os.path.dirname(fracopt.cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "fracopt.cli", *argv], env=env, cwd=tmp_path, capture_output=True
+    )
+    assert done.returncode == code, done.stderr

@@ -317,9 +317,15 @@ class TestSrmPga:
         # p proportional to the all-ones vector and Q_eps = eps*I: equal
         # weights are a critical point, the optimum for c > 0 (Sharpe
         # c*sqrt(3/eps)) but the worst portfolio for c < 0, where every
-        # vertex reaches c/sqrt(eps) = -2.0
-        for c in (0.02, -0.02):
-            model = build_sharpe_model(constant_returns([c, c, c], 4), 1e-4)
+        # vertex reaches c/sqrt(eps) = -2.0; the same holds for columns that
+        # are cyclic shifts of one losing series of variance s2: Q_eps is
+        # circulant, and every vertex reaches c/sqrt(s2 + eps)
+        v = np.random.default_rng(0).normal(0.0, 0.03, 30)
+        rolled = np.column_stack([np.roll(v, k) for k in range(4)]) - v.mean() - 0.01
+        cases = [(constant_returns([c, c, c], 4), c, 0.0) for c in (0.02, -0.02)]
+        cases.append((returns_matrix(rolled), -0.01, v.var(ddof=1)))
+        for returns, c, s2 in cases:
+            model = build_sharpe_model(returns, 1e-4)
             res = srm_pga(model)
             problem = sharpe_problem(model)
             residual = fixed_point_residual(problem, res.weights, default_alpha(problem))
@@ -328,7 +334,8 @@ class TestSrmPga:
             if c < 0:
                 assert np.count_nonzero(res.weights) == 1
                 assert res.weights.max() == 1.0
-                assert res.sharpe == pytest.approx(-2.0, rel=1e-9)
+                assert res.result.iterations == 1
+                assert res.sharpe == pytest.approx(c / math.sqrt(s2 + 1e-4), rel=1e-9)
 
     def test_single_asset(self):
         model = build_sharpe_model(constant_returns([0.01], 3), 1e-4)

@@ -225,3 +225,4 @@ def test_srm_pga_is_invariant_under_power_of_two_scaling(k):
         res = srm_pga(scaled)
         assert np.array_equal(res.weights, base.weights), seed
         assert res.result.iterations == base.result.iterations, seed
+        assert res.global_certificate and base.global_certificate, seed
