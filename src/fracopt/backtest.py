@@ -227,10 +227,14 @@ def market_strategy_step(state, price_relatives):
 
 
 def _drift(state, x):
-    # market_strategy_step without its checks: run_backtest's holdings lie on
-    # the simplex and its price relatives are finite, so no product overflows
+    """market_strategy_step without its checks or its float-range scope.
+
+    The caller supplies both: an overflowing product or sum raises inside
+    the caller's ``np.errstate``, and run_backtest's holdings lie on the
+    simplex and its price relatives are finite.
+    """
     held = state * x
-    total = _in_float_range("a realized return", lambda: float(held.sum()))
+    total = float(held.sum())
     if held.min() < 0.0:
         raise WealthWipeout("a held asset lost more than 100%")
     if total <= 0.0:
@@ -244,8 +248,10 @@ def run_backtest(r, cfg):
     Periods 1..window have fewer than ``window`` periods of history and use
     equal weights for the window-based strategies; from period window+1 on,
     the Sharpe strategy re-optimizes each period on exactly the trailing
-    ``window`` rows. Buy-and-hold ignores the window: it starts equal at
-    period 1 and only drifts thereafter. Errors in a period are re-raised
+    ``window`` rows, one ``srm_pga`` call per period. Buy-and-hold ignores
+    the window: it starts equal at period 1 and only drifts thereafter,
+    inside one float-range scope for the whole horizon. Each strategy fills
+    its weights in one pass of its own. Errors in a period are re-raised
     with its 1-based index prepended; the 1-based indices of periods whose
     solve stopped without converging are listed in
     ``report.nonconverged_periods``.
@@ -257,20 +263,27 @@ def run_backtest(r, cfg):
             f"{total} periods cannot cover window {cfg.window} plus one trading period"
         )
     relatives = 1.0 + values
-    w = np.full(n, 1.0 / n)
-    weights = np.empty((total, n))
+    weights = np.full((total, n), 1.0 / n)
     nonconverged = []
     try:
-        for t in range(total):
-            if cfg.strategy is Strategy.SRM_PGA and t >= cfg.window:
+        if cfg.strategy is Strategy.SRM_PGA:
+            for t in range(cfg.window, total):
                 window_rows = ReturnsMatrix(values[t - cfg.window : t], r.asset_labels)
                 res = srm_pga(build_sharpe_model(window_rows, cfg.eps_hat))
-                w = res.weights
+                weights[t] = res.weights
                 if res.result.status is not Status.CONVERGED:
                     nonconverged.append(t + 1)
-            weights[t] = w
-            if cfg.strategy is Strategy.MARKET:
-                w = _drift(w, relatives[t])
+        elif cfg.strategy is Strategy.MARKET:
+            # the sum of the drifted holdings is the period's gross return; the
+            # last period drifts too, so a holding it wipes out still raises
+            w = weights[0]
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    for t in range(total):
+                        weights[t] = w
+                        w = _drift(w, relatives[t])
+            except FloatingPointError as exc:
+                raise DataError(f"a realized return leaves the float range ({exc})") from None
     except FracoptError as exc:
         raise type(exc)(f"period {t + 1}: {exc}") from exc
 
@@ -337,25 +350,32 @@ def _write_rows(path, header, labels, table):
         for label, row in zip(_csv_cells(labels), table, strict=True)
     ]
     head = ",".join(_csv_cells(header)) + "\r\n"
-    _write_text(path, head + "".join(lines), newline="")
+    _write_text(path, head + "".join(lines))
 
 
-def _write_text(path, text, newline=None):
-    """Write ``text`` over the file at ``path`` in place, as ``open(path, "w")`` would.
+def _write_text(path, text):
+    """Write ``text`` as UTF-8 over the file at ``path`` in place, in one ``os.write``.
 
-    The file is not cut to zero before the write but after it, and only when
-    it is a regular file, so ext4's ``auto_da_alloc`` starts no writeback on
-    close. Bytes, inode, hard links, symlink targets, mode and error classes
-    are those of ``open(path, "w")``. Neither way is atomic: an interrupted
-    write can leave old bytes past the new ones, as a truncating open can
-    leave a cut file.
+    The text already holds its line ends, which are written as they are on
+    every platform. The file is not cut to zero before the write but after
+    it, and only when it is a regular file, so ext4's ``auto_da_alloc``
+    starts no writeback on close. Bytes on a UTF-8 locale, inode, hard
+    links, symlink targets, mode and error classes are those of
+    ``open(path, "w")``. Neither way is atomic: an interrupted write can
+    leave old bytes past the new ones, as a truncating open can leave a cut
+    file.
     """
-    # O_BINARY (Windows only) leaves newline handling to the text layer
+    data = memoryview(text.encode("utf-8"))
+    # O_BINARY (Windows only) keeps the C runtime from translating "\n"
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "w", newline=newline) as fh:
-        fh.write(text)
+    try:
+        written = 0
+        while written < len(data):  # a pipe or a signal can cut a write short
+            written += os.write(fd, data[written:])
         if stat.S_ISREG(os.fstat(fd).st_mode):
-            fh.truncate()
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def _csv_cells(values):

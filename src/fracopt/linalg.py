@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DimensionError, InvalidMatrix, InvalidParameter
 
 _SYMMETRY_RTOL = 1e-10
+# up to this many rows LAPACK's eigvalsh costs less than the power sweeps
+_LAPACK_ROWS = 32
 
 
 def positive(name, value):
@@ -66,19 +68,23 @@ def as_vector(x, length=None, name="x"):
 
 
 def dominant_eigenvalue(m, tol=1e-10, max_iter=1_000):
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration, else by LAPACK.
+    """Largest eigenvalue of a symmetric PSD matrix, by LAPACK or by power iteration.
 
-    Starts from a fixed deterministic ramp vector (1, 2, ..., n normalized;
-    the all-ones vector can be exactly orthogonal to the dominant
-    eigenvector of a demeaned Gram matrix, which locks the iteration onto a
-    smaller eigenvalue). Each sweep forms one product A.v, takes the
-    Rayleigh quotient v.(A.v) of the unit vector v from it, and moves v to
-    A.v normalized; the iteration stops when the quotient changes by at most
+    A matrix of at most 32 rows takes ``np.linalg.eigvalsh``'s largest
+    eigenvalue, which is exact and there costs less than the sweeps;
+    ``tol`` and ``max_iter`` are checked but not used. A larger one is swept
+    from a fixed deterministic ramp vector (1, 2, ..., n normalized; the
+    all-ones vector can be exactly orthogonal to the dominant eigenvector of
+    a demeaned Gram matrix, which locks the iteration onto a smaller
+    eigenvalue). Each sweep forms one product A.v, takes the Rayleigh
+    quotient v.(A.v) of the unit vector v from it, and moves v to A.v
+    normalized; the iteration stops when the quotient changes by at most
     ``tol`` relative between sweeps. Where ``max_iter`` sweeps leave it
-    unsettled, or A.v = 0 at the ramp, ``np.linalg.eigvalsh`` answers.
+    unsettled, or A.v = 0 at the ramp, ``eigvalsh`` answers.
 
     The input is read in place and never written; with its largest entry
-    outside (2**-400, 2**400), both run on a copy scaled by a power of two.
+    outside (2**-400, 2**400), either route runs on a copy scaled by a power
+    of two.
     Raises DimensionError for input that is not a non-empty 2-d array,
     InvalidParameter for NaN or Inf entries or a result beyond the float
     range, InvalidMatrix for non-square or asymmetric input (beyond 1e-10
@@ -111,6 +117,9 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=1_000):
         e = math.frexp(scale)[1]
         a = np.ldexp(a, -e)
 
+    if n <= _LAPACK_ROWS:
+        return _unscaled(float(np.linalg.eigvalsh(a)[-1]), e)
+
     # sqrt(w.w) is np.linalg.norm's own formula for a real 1-d vector.
     # ndarray.dot forms the BLAS product that @ forms on a C- or F-ordered
     # matrix at a smaller call cost; @ stays for a strided one, which it
@@ -134,6 +143,11 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=1_000):
         v = w / wn
     if not settled:
         lam = float(np.linalg.eigvalsh(a)[-1])
+    return _unscaled(lam, e)
+
+
+def _unscaled(lam, e):
+    """``lam * 2**e``, raising InvalidParameter where that leaves the float range."""
     if math.frexp(lam)[1] + e > 1024:
         raise InvalidParameter(f"the eigenvalue {lam} * 2**{e} exceeds the float range")
     return math.ldexp(lam, e)

@@ -397,12 +397,18 @@ class TestMarketStep:
 
     @pytest.mark.parametrize(
         "state, x",
-        [([1e200, 1.0], [1e200, 1.0]), ([1e300, 1e300], [1e10, 1e10])],
-        ids=["one-product", "every-product"],
+        [
+            ([1e200, 1.0], [1e200, 1.0]),
+            ([1e300, 1e300], [1e10, 1e10]),
+            ([1e308, 1e308], [1.0, 1.0]),
+        ],
+        ids=["one-product", "every-product", "sum"],
     )
     def test_overflowing_product_is_a_data_error(self, state, x):
         # finite holdings times finite price relatives once overflowed: NaN
-        # weights and numpy's bare RuntimeWarning
+        # weights and numpy's bare RuntimeWarning; products that fit but sum
+        # past the float range once named a realized return, which the step
+        # never computes
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DataError, match="^a drifted holding leaves the float range"):
@@ -514,6 +520,14 @@ class TestRunBacktest:
         values = np.array([[0.01, 0.01], [0.02, 0.0], [-1.2, 0.5], [0.01, 0.0]])
         cfg = BacktestConfig(window=2, strategy="market")
         with pytest.raises(WealthWipeout, match="^period 3: a held asset lost more than 100%"):
+            run_backtest(returns_matrix(values), cfg)
+
+    def test_market_holding_wiped_out_in_the_last_period_is_a_wipeout(self):
+        # the realized return of the last period stays above -1, but its
+        # drift still leaves a holding below zero
+        values = np.array([[0.01, 0.01], [0.02, 0.0], [0.01, 0.0], [-1.2, 0.5]])
+        cfg = BacktestConfig(window=2, strategy="market")
+        with pytest.raises(WealthWipeout, match="^period 4: a held asset lost more than 100%"):
             run_backtest(returns_matrix(values), cfg)
 
     @pytest.mark.parametrize("strategy", ["one-over-n", "market"])

@@ -450,6 +450,35 @@ class TestBacktestCommand:
             )
         assert blobs[0] == blobs[1]
 
+    def test_ascii_locale_writes_the_utf8_bytes(self, tmp_path):
+        # the reports are UTF-8 like the input, whatever the locale: under C
+        # with UTF-8 mode off, non-ASCII labels once raised UnicodeEncodeError
+        data = tmp_path / "returns.csv"
+        data.write_bytes(
+            "period,café,日本\n1,0.01,0.02\n2,0.03,-0.01\n3,0.02,0.01\n4,-0.01,0.03\n".encode()
+        )
+        package_root = os.path.dirname(os.path.dirname(fracopt.cli.__file__))
+        blobs = []
+        for name, env in (
+            ("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0"}),
+            ("utf8", {"LC_ALL": "C.UTF-8"}),
+        ):
+            out_dir = tmp_path / name
+            out_dir.mkdir()
+            env = dict(os.environ, **env)
+            env.pop("PYTHONIOENCODING", None)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+            argv = ["backtest", "--data", str(data), "--window", "2", "--out", str(out_dir)]
+            done = subprocess.run(
+                [sys.executable, "-m", "fracopt.cli", *argv], env=env, capture_output=True
+            )
+            assert done.returncode == 0, done.stderr
+            blobs.append(
+                [(out_dir / f).read_bytes() for f in ("backtest_report.json", "backtest_periods.csv")]
+            )
+        assert blobs[0] == blobs[1]
+        assert blobs[0][1].startswith("period,realized_return,wealth,w_café,w_日本\r\n".encode())
+
 
 def _seeded_panel_csv(path):
     """A 40 x 5 returns file whose header CSV and JSON must both escape."""

@@ -17,8 +17,15 @@ def frozen_power_sweep(a, tol=1e-10, max_iter=10_000):
     """dominant_eigenvalue's sweep as it stood with np.linalg.norm in the
     loop, for a valid nonzero symmetric matrix. Kept as the byte reference;
     where the sweeps do not settle, or the ramp lies in the nullspace, the
-    answer is LAPACK's."""
+    answer is LAPACK's. Up to 32 rows it is LAPACK's without a sweep, taken
+    on the copy scaled by a power of two that dominant_eigenvalue makes
+    outside (2**-400, 2**400): LAPACK's own rescaling of tiny or huge entries
+    is not by a power of two, so it can move the last bit."""
     n = a.shape[0]
+    if n <= 32:
+        scale = float(np.max(np.abs(a)))
+        e = 0 if 2.0**-400 < scale < 2.0**400 else math.frexp(scale)[1]
+        return math.ldexp(float(np.linalg.eigvalsh(np.ldexp(a, -e))[-1]), e)
     v = np.arange(1.0, n + 1.0)
     v /= np.linalg.norm(v)
     lam = None
@@ -149,21 +156,23 @@ class TestDominantEigenvalue:
     def test_sweep_matches_the_frozen_loop_byte_for_byte(self):
         rng = np.random.default_rng(19)
         matrices = []
-        for n in (1, 2, 3, 10, 40):
+        for n in (1, 2, 3, 10, 40, 64):
             for scale in (1e-150, 1e-4, 1.0, 1e100):
                 matrices.append(scale * random_psd(rng, n))
                 # rank one and rank deficient
                 b = rng.normal(size=(n, max(1, n // 3)))
                 matrices.append(scale * (b @ b.T))
-        # the ramp start lies in the nullspace of u u^T for u = (2, -1, 0):
-        # the first sweep finds A.v = 0 and LAPACK answers
-        u = np.array([2.0, -1.0, 0.0])
+        # the ramp start lies in the nullspace of u u^T for u = (2, -1, 0, ...),
+        # 40 long so that it is swept: the first sweep finds A.v = 0 and
+        # LAPACK answers
+        u = np.zeros(40)
+        u[:2] = 2.0, -1.0
         restart = np.outer(u, u)
-        assert not np.any(restart @ np.arange(1.0, 4.0))
+        assert not np.any(restart @ np.arange(1.0, 41.0))
         matrices.append(restart)
         matrices.append(np.outer(u, u) * 1e-3)
         # read in place in every memory order: Fortran, strided and reversed
-        for n in (3, 10, 40):
+        for n in (3, 10, 40, 64):
             m = random_psd(rng, n)
             padded = np.zeros((2 * n, 2 * n))
             padded[::2, ::2] = m
@@ -175,6 +184,23 @@ class TestDominantEigenvalue:
                 assert np.float64(got).tobytes() == np.float64(expected).tobytes()
         assert dominant_eigenvalue(restart) == float(np.linalg.eigvalsh(restart)[-1])
         assert dominant_eigenvalue(restart) == pytest.approx(5.0, rel=1e-9)
+
+    def test_lapack_answers_up_to_32_rows(self):
+        # up to 32 rows lambda1 is eigvalsh's, bit for bit, at any tol and
+        # budget; a copy scaled by 2**-1000 or 2**1000 gives that answer
+        # scaled. I + 1e-3 B B^T has top eigenvalues as close as a
+        # low-volatility Q_eps / eps_hat
+        rng = np.random.default_rng(29)
+        for n in (1, 2, 8, 10, 31, 32):
+            b = rng.normal(size=(n, n))
+            for m in (random_psd(rng, n), np.eye(n) + 1e-3 * (b @ b.T)):
+                expected = float(np.linalg.eigvalsh(m)[-1])
+                assert dominant_eigenvalue(m) == expected
+                assert dominant_eigenvalue(m, tol=1e-14, max_iter=1) == expected
+                for exponent in (-1000, 1000):
+                    scaled = np.ldexp(m, exponent)
+                    assert np.array_equal(np.ldexp(scaled, -exponent), m)
+                    assert dominant_eigenvalue(scaled) == math.ldexp(expected, exponent)
 
     @pytest.mark.parametrize("exponent", [-1000, -532, 532, 996])
     def test_extreme_scales(self, exponent):

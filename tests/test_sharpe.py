@@ -106,14 +106,15 @@ class TestBuildModel:
 
     def test_lambda1_from_lapack_past_the_sweep_budget(self):
         # low-volatility returns leave the top eigenvalues of Q_eps so close
-        # that the power iteration settles only after 6,072 sweeps here, on a
+        # that the power iteration settles only after 2,629 sweeps here, on a
         # value other than LAPACK's; within its default budget of 1,000
-        # sweeps dominant_eigenvalue answers with LAPACK's
-        values = np.random.default_rng(2).normal(0.005, 0.04, (60, 8)) * 0.01
+        # sweeps dominant_eigenvalue answers with LAPACK's. 40 assets take
+        # the sweep: up to 32, LAPACK answers without one
+        values = np.random.default_rng(0).normal(0.005, 0.04, (80, 40)) * 0.01
         model = build_sharpe_model(returns_matrix(values))
         lapack = float(np.linalg.eigvalsh(model.q_eps)[-1])
-        assert dominant_eigenvalue(model.q_eps, tol=1e-8, max_iter=6_072) != lapack
-        assert dominant_eigenvalue(model.q_eps, tol=1e-8, max_iter=6_071) == lapack
+        assert dominant_eigenvalue(model.q_eps, tol=1e-8, max_iter=2_629) != lapack
+        assert dominant_eigenvalue(model.q_eps, tol=1e-8, max_iter=2_628) == lapack
         assert dominant_eigenvalue(model.q_eps, tol=1e-8) == lapack
         assert model.lambda1 == lapack
 
