@@ -97,15 +97,33 @@ def cmd_sim2(args):
     return _solve_paper_problem(args, "sim2", build_sim2(params), report)
 
 
+def _print_utf8(*lines):
+    """Print lines to stdout as UTF-8, whatever the locale's encoding.
+
+    A stream with a byte buffer gets the encoded bytes after its pending
+    text; one without (an io.StringIO) gets the text. A path argument that
+    the locale could not decode goes back out as the bytes it came in as.
+    """
+    text = "".join(line + "\n" for line in lines)
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+    else:
+        sys.stdout.flush()
+        buffer.write(text.encode("utf-8", "surrogateescape"))
+
+
 def cmd_sharpe(args):
     returns = bt.load_returns_csv(args.data, args.unit)
     model = build_sharpe_model(returns, args.eps)
     res = srm_pga(model)
-    print("weights:")
-    for label, w in zip(returns.asset_labels, res.weights):
-        print(f"  {label}: {_fmt(w)}")
-    print(f"sharpe objective:   {_fmt(res.sharpe)}")
-    print(f"global certificate: {'yes' if res.global_certificate else 'no'}")
+    # asset labels may be non-ASCII: the CSV is read as UTF-8, so they print as UTF-8
+    _print_utf8(
+        "weights:",
+        *(f"  {label}: {_fmt(w)}" for label, w in zip(returns.asset_labels, res.weights)),
+        f"sharpe objective:   {_fmt(res.sharpe)}",
+        f"global certificate: {'yes' if res.global_certificate else 'no'}",
+    )
     payload = {
         "eps": args.eps,
         "assets": list(returns.asset_labels),
@@ -116,7 +134,7 @@ def cmd_sharpe(args):
     }
     path = os.path.join(args.out, "sharpe_result.json")
     bt._write_json(path, payload)
-    print(f"result written:     {path}")
+    _print_utf8(f"result written:     {path}")
     return _exit_code(res.result.status is Status.CONVERGED)
 
 

@@ -27,12 +27,13 @@ mapping of the ratio, which, unlike the relative iterate change, does not
 shrink with the step size. So no part of it changes when f and g scale by a
 power of two and the step bound by its reciprocal.
 
-A problem may also supply an exact face finish (``FractionalProblem.finish``).
+A problem may also supply an exact finish (``FractionalProblem.finish``).
 The adaptive rule tries it once for each face the iterate settles on, when
 the zero pattern of the iterate has not changed for a few accepted
 iterations: the active-set identification that proximal gradient reaches in
 finitely many steps (Nutini, Schmidt & Hare), finished by an exact solve on
-the identified face as in Bertsekas's projected Newton methods. It also
+the identified face as in Bertsekas's projected Newton methods, corrected
+face by face where the identified one is not yet optimal. It also
 tries the face of the iterate where the stop test fires, unless that face
 was offered already: from a start near the optimum the stop can fire before
 any face settles, and the stop's tolerance is then the answer's only
@@ -90,9 +91,9 @@ class FractionalProblem:
     solver needs them to pick its inner step size.
 
     ``finish``, when given, maps a feasible point x to an exact minimiser of
-    the ratio on the face of x (the points with the zeros of x), or to None
-    when it has none to offer. Its answer depends only on the face of x, so
-    the adaptive step rule asks it once per face.
+    the ratio, reached by corrections from the face of x (the points with the
+    zeros of x), or to None when it has none to offer. Its answer depends
+    only on the face of x, so the adaptive step rule asks it once per face.
     """
 
     eval_f: Callable[[np.ndarray], float]
@@ -152,7 +153,8 @@ class PgaConfig:
     trial step is a = 1/g(x0), each later one the Barzilai-Borwein step
     ||s||^2 / s.y (s = x+ - x, y = d+ - d), doubled instead when s.y <= 0.
     Stop when the gradient mapping of the ratio ||x+ - x|| / (a*g(x)) <= tol.
-    When the problem has a ``finish``, it is called after an accepted
+    When the problem has a ``finish`` (an exact minimiser reached by
+    corrections from the face of x), it is called after an accepted
     iteration once the zero pattern of x has been unchanged for 3 accepted
     iterations, and after the iteration where the stop test fires, at most
     once per zero pattern in a solve. Its point is taken only if its ratio

@@ -19,15 +19,17 @@ Passing ``PgaConfig()`` selects the paper's fixed-step iteration. Both step
 rules start where ``_start``'s one rule puts them, at a positive Sharpe ratio
 whenever some mean is positive, which certifies the answer.
 
-The problem built by :func:`sharpe_problem` carries an exact face finish,
-which the adaptive iteration tries once for each support of the weights that
-settles, and on the support where its stop test fires. On the support S it
+The problem built by :func:`sharpe_problem` carries an exact finish, which
+the adaptive iteration tries once for each support of the weights that
+settles, and on the support where its stop test fires. From the support S it
 solves Q_SS z = p_S, the tangency portfolio of that face, and offers
-w = z/sum(z) when z > 0 and every off-support multiplier of the QP form
-min y.Q.y s.t. p.y = 1, y >= 0 is nonnegative; those are the KKT conditions
-of the long-only optimum (z > 0 gives p.z = z.Q_SS.z > 0), so the offered
-point is the maximiser. The answer depends on the support alone, not on
-where the weights sit on it.
+w = z/sum(z) when z > 0 and every off-support multiplier (Q z - p)_i is
+nonnegative; those are the KKT conditions of the long-only optimum (z > 0
+gives p.z = z.Q_SS.z > 0), so the offered point is the maximiser. Where they
+fail, primal-dual active-set corrections (Hintermueller, Ito & Kunisch) drop
+the support's assets with z <= 0, take in the off-support assets with a
+negative multiplier and solve again, for at most 50 rounds. The answer
+depends on the support alone, not on where the weights sit on it.
 
 Each dense product is formed once. ``build_sharpe_model`` demeans, scales
 and regularizes the Gram matrix in place and hands it to
@@ -55,6 +57,8 @@ from .linalg import as_vector, dominant_eigenvalue, finite, positive
 from .projections import project_simplex
 
 _EIG_TOL = 1e-8
+# rounds of active-set corrections before the face finish gives up
+_CORRECTIONS = 50
 _EPS_HAT = 1e-4  # the default eps_hat, also BacktestConfig's and the command line's
 # srm_pga's default; a frozen config is safe to share between calls
 _ADAPTIVE = PgaConfig(adaptive=True)
@@ -185,6 +189,8 @@ def sharpe_problem(model):
     ``eval_g`` raises NumericalBreakdown where w.Q_eps.w is not positive (w = 0).
     ``grad_g`` at the point ``eval_g`` saw last reuses its Q.w; the point is
     matched by content, so an array changed in place since is computed anew.
+    ``finish`` maps w to the long-only maximiser that :func:`_active_set_optimum`
+    reaches by active-set corrections from the support of w, or to None.
     """
     p = model.p
     q_eps = model.q_eps
@@ -219,26 +225,7 @@ def sharpe_problem(model):
         return qw / g
 
     def finish(w):
-        # the tangency portfolio of the face: z solves Q_SS z = p_S, and the
-        # face optimum z/sum(z) is the global one when z > 0 and every
-        # off-support multiplier of the QP form, a positive multiple of
-        # (Q z - p) there, is nonnegative
-        idx = np.flatnonzero(w)
-        # one column block Q[:, S] gives Q_SS and Q_off,S, each the C-ordered
-        # matrix an np.ix_ gather would make, so their products round alike
-        cols = q_eps.take(idx, axis=1)
-        try:
-            z = np.linalg.solve(cols.take(idx, axis=0), p[idx])
-        except np.linalg.LinAlgError:  # Q_SS is singular in float64: nothing to offer
-            return None
-        if not np.all(z > 0.0):
-            return None
-        off = np.flatnonzero(w == 0.0)
-        if not np.all(cols.take(off, axis=0) @ z >= p[off]):
-            return None
-        w_fin = np.zeros_like(w)
-        w_fin[idx] = z / z.sum()
-        return w_fin
+        return _active_set_optimum(q_eps, p, w != 0.0)
 
     return FractionalProblem(
         eval_f=eval_f,
@@ -252,6 +239,46 @@ def sharpe_problem(model):
         lip_grad_g=model.lip_grad_g,
         finish=finish,
     )
+
+
+def _active_set_optimum(q_eps, p, free):
+    """The long-only Sharpe maximiser reached by active-set corrections from a support.
+
+    ``free`` is a boolean mask of the starting support S, read but not
+    written. Each round solves Q_SS z = p_S, the tangency portfolio of the
+    face, and tests the KKT signs of min z.Q.z/2 - p.z s.t. z >= 0, whose
+    solution is a positive multiple of the maximiser when some mean is
+    positive: z > 0 on S, and a nonnegative multiplier (Q z - p)_i off S.
+    Where they hold, the answer is z/sum(z). Otherwise the next support drops
+    the assets of S with z <= 0 and takes in those off S whose multiplier is
+    negative (or NaN): the primal-dual active-set step of Hintermueller, Ito &
+    Kunisch. None when the support empties, Q_SS is singular in float64, or
+    the signs fail for 50 rounds. A round's arithmetic depends only on its
+    support, so starts whose corrections reach the same support get the same
+    bytes.
+    """
+    free = free.copy()
+    for _ in range(_CORRECTIONS):
+        idx = np.flatnonzero(free)
+        if idx.size == 0:
+            return None
+        # one column block Q[:, S] gives Q_SS and Q_off,S, each the C-ordered
+        # matrix an np.ix_ gather would make, so their products round alike
+        cols = q_eps.take(idx, axis=1)
+        try:
+            z = np.linalg.solve(cols.take(idx, axis=0), p[idx])
+        except np.linalg.LinAlgError:  # Q_SS is singular in float64: nothing to offer
+            return None
+        off = np.flatnonzero(~free)
+        keep = z > 0.0
+        stay_out = cols.take(off, axis=0) @ z >= p[off]
+        if keep.all() and stay_out.all():
+            w = np.zeros(p.size)
+            w[idx] = z / z.sum()
+            return w
+        free[idx[~keep]] = False
+        free[off[~stay_out]] = True
+    return None
 
 
 @dataclass(frozen=True)
@@ -319,12 +346,13 @@ def srm_pga(model, cfg=None):
     is positive the start is the maximizing vertex, and the solve stops after
     one iteration.
 
-    In adaptive mode the solve usually ends on the exact face finish of
+    In adaptive mode the solve usually ends on the exact finish of
     :func:`sharpe_problem`: once the support of the weights has held for 3
     accepted iterations, and at the iterate where the stop test fires, the
-    face optimum is computed in closed form, once per support, and taken
-    when its KKT conditions hold and its Sharpe ratio is no lower. The
-    status is then CONVERGED and the weights are exact to rounding.
+    maximiser is computed by active-set corrections from that support, once
+    per support, and taken when they reach one whose KKT conditions hold and
+    its Sharpe ratio is no lower. The status is then CONVERGED and the
+    weights are exact to rounding.
     """
     result = pga_solve(sharpe_problem(model), _start(model), cfg or _ADAPTIVE)
     w = result.x_star

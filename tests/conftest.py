@@ -2,10 +2,42 @@
 
 These deliberately avoid the library's own code paths: the simplex oracle
 enumerates every support pattern of the constrained least-squares problem,
-and the gradient oracle uses central finite differences.
+and the gradient oracle uses central finite differences. The run's header
+names the OpenBLAS core numpy dispatched to.
 """
 
+import ctypes
+import glob
+import os
+
 import numpy as np
+
+
+def openblas_core():
+    """The CPU kernel OpenBLAS dispatched to, read from numpy's bundled library.
+
+    "unknown" when numpy bundles no loadable OpenBLAS or it exports no core name.
+    """
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                    "openblas_get_corename"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_char_p
+                return fn().decode("ascii", "replace")
+    return "unknown"
+
+
+def pytest_report_header(config):
+    # tests that pin bytes through BLAS hold for the kernel they were frozen
+    # under; the run log names the one in use
+    return f"OpenBLAS core: {openblas_core()}"
 
 
 def simplex_qp_oracle(x):

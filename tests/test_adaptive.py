@@ -517,9 +517,40 @@ class TestExactFinish:
         w = np.zeros(6)
         w[support] = [0.98, 0.01, 0.01]
         assert model.p @ w < 0.0
-        w_fin = sharpe_problem(model).finish(w)
+        finish = sharpe_problem(model).finish
+        w_fin = finish(w)
         assert w_fin is not None
         assert np.allclose(w_fin, best.weights, rtol=0.0, atol=1e-12)
+        # a face with one asset too many, and one that lacks optimal asset 1:
+        # their own KKT signs fail, and active-set corrections reach the optimum
+        for face in ([1, 2, 3, 4], [2, 3]):
+            w = np.zeros(6)
+            w[face] = 1.0 / len(face)
+            w_fin = finish(w)
+            assert w_fin is not None
+            assert np.allclose(w_fin, best.weights, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [4, 6])
+    def test_two_period_window_at_1e3_converges_by_corrections(self, seed):
+        # T = 2, N = 4 at 1e3: the faces the iterates settle on first fail
+        # their KKT signs, and the solve once ran its whole iteration budget
+        values = np.random.default_rng(seed).normal(0.3, 1.0, (2, 4)) * 1e3
+        res = srm_pga(build_sharpe_model(returns_matrix(values)))
+        assert res.result.status is Status.CONVERGED
+        assert res.global_certificate
+        assert res.result.iterations <= 50
+
+    def test_sharpe_finish_offers_nothing_without_a_positive_mean(self):
+        # the corrections drop every asset: with no positive mean the QP form's
+        # solution is z = 0, which no normalisation turns into weights
+        values = np.random.default_rng(8).normal(-0.01, 0.04, (60, 5))
+        model = build_sharpe_model(returns_matrix(values))
+        assert model.p.max() < 0.0
+        finish = sharpe_problem(model).finish
+        for face in ([0], [1, 3], [0, 1, 2, 3, 4]):
+            w = np.zeros(5)
+            w[face] = 1.0 / len(face)
+            assert finish(w) is None
 
     def test_sharpe_finish_offers_nothing_on_a_singular_face(self):
         # a face matrix that is singular in float64 has no tangency portfolio

@@ -350,6 +350,35 @@ class TestSharpeCommand:
         assert code == 4
         assert err == "error: step bound 0.0 is not positive and finite\n"
 
+    def test_ascii_locale_prints_and_writes_the_utf8_bytes(self, tmp_path):
+        # the weights print with their UTF-8 labels whatever the locale: under
+        # C with UTF-8 mode off, a non-ASCII label once raised UnicodeEncodeError
+        # before sharpe_result.json was written
+        data = tmp_path / "returns.csv"
+        data.write_bytes(
+            "period,café,日本\n1,0.01,0.02\n2,0.03,-0.01\n3,0.02,0.01\n4,-0.01,0.03\n".encode()
+        )
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        package_root = os.path.dirname(os.path.dirname(fracopt.cli.__file__))
+        argv = ["sharpe", "--data", str(data), "--out", str(out_dir)]
+        blobs = []
+        for env in ({"LC_ALL": "C", "PYTHONUTF8": "0"}, {"LC_ALL": "C.UTF-8"}):
+            env = dict(os.environ, **env)
+            env.pop("PYTHONIOENCODING", None)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+            result = out_dir / "sharpe_result.json"
+            if result.exists():
+                result.unlink()
+            done = subprocess.run(
+                [sys.executable, "-m", "fracopt.cli", *argv], env=env, capture_output=True
+            )
+            assert done.returncode == 0, done.stderr
+            blobs.append((done.stdout, result.read_bytes()))
+        assert blobs[0] == blobs[1]
+        assert "  café: ".encode() in blobs[0][0]
+        assert json.loads(blobs[0][1])["assets"] == ["café", "日本"]
+
 
 class TestBacktestCommand:
     def test_equal_weight_sharpe_matches_row_means(self, capsys, tmp_path):

@@ -77,20 +77,23 @@ class TestDominantEigenvalue:
         assert dominant_eigenvalue(m, tol=1e-10) == pytest.approx(3.0, rel=1e-6)
 
     def test_no_convergence(self):
-        # one sweep settles nothing: the answer is LAPACK's
-        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        # one sweep settles nothing: the answer is LAPACK's. 40 rows take the
+        # sweep; up to 32, LAPACK answers without one
+        m = np.eye(40) + np.ones((40, 40))
         got = dominant_eigenvalue(m, tol=1e-14, max_iter=1)
-        assert got == float(np.linalg.eigvalsh(m)[-1]) == 3.0
+        assert got == float(np.linalg.eigvalsh(m)[-1])
+        assert got == pytest.approx(41.0, rel=1e-14)
 
     def test_lapack_answers_on_the_scaled_copy(self):
-        # LAPACK runs on the copy scaled by a power of two, and its answer
-        # passes through the same ldexp and float-range check as the sweep's
-        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        # after one unsettled sweep (40 rows take the sweep), LAPACK runs on
+        # the copy scaled by a power of two, and its answer passes through the
+        # same ldexp and float-range check as the sweep's
+        m = np.eye(40) + np.ones((40, 40))
         for exponent in (-1000, 996):
             got = dominant_eigenvalue(np.ldexp(m, exponent), max_iter=1)
             assert got == math.ldexp(float(np.linalg.eigvalsh(m)[-1]), exponent)
         with pytest.raises(InvalidParameter, match="float range"):
-            dominant_eigenvalue(1e308 * np.ones((3, 3)), max_iter=1)
+            dominant_eigenvalue(1e308 * np.ones((40, 40)), max_iter=1)
 
     def test_bad_tol(self):
         with pytest.raises(InvalidParameter):

@@ -120,7 +120,8 @@ class TestBuildModel:
 
     def test_lambda1_costs_one_call_and_one_lapack_solve(self, monkeypatch):
         # the build leaves the LAPACK fallback to dominant_eigenvalue: one call
-        # of each on a low-volatility panel, whose sweeps do not settle
+        # of each on a low-volatility panel, whose sweeps do not settle within
+        # the budget (40 assets take the sweep; up to 32, LAPACK answers at once)
         calls = {"dominant_eigenvalue": 0, "eigvalsh": 0}
 
         def counted(name, fn):
@@ -134,7 +135,7 @@ class TestBuildModel:
             "fracopt.sharpe.dominant_eigenvalue", counted("dominant_eigenvalue", dominant_eigenvalue)
         )
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-        values = np.random.default_rng(2).normal(0.005, 0.04, (60, 8)) * 0.01
+        values = np.random.default_rng(0).normal(0.005, 0.04, (80, 40)) * 0.01
         build_sharpe_model(returns_matrix(values))
         assert calls == {"dominant_eigenvalue": 1, "eigvalsh": 1}
 
