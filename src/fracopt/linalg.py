@@ -18,6 +18,8 @@ from .errors import DimensionError, InvalidMatrix, InvalidParameter
 _SYMMETRY_RTOL = 1e-10
 # up to this many rows LAPACK's eigvalsh costs less than the power sweeps
 _LAPACK_ROWS = 32
+_SWEEP_RTOL = 1e-8  # a sweep settles when the quotient moves by at most this, relative
+_SWEEPS = 1_000  # eigvalsh answers where this many sweeps leave the quotient unsettled
 
 
 def positive(name, value):
@@ -67,29 +69,28 @@ def as_vector(x, length=None, name="x"):
     return v
 
 
-def dominant_eigenvalue(m, tol=1e-10, max_iter=1_000):
+def dominant_eigenvalue(m):
     """Largest eigenvalue of a symmetric PSD matrix, by LAPACK or by power iteration.
 
     A matrix of at most 32 rows takes ``np.linalg.eigvalsh``'s largest
-    eigenvalue, which is exact and there costs less than the sweeps;
-    ``tol`` and ``max_iter`` are checked but not used. A larger one is swept
-    from a fixed deterministic ramp vector (1, 2, ..., n normalized; the
-    all-ones vector can be exactly orthogonal to the dominant eigenvector of
-    a demeaned Gram matrix, which locks the iteration onto a smaller
-    eigenvalue). Each sweep forms one product A.v, takes the Rayleigh
+    eigenvalue, which is exact and there costs less than the sweeps. A
+    larger one is swept from a fixed deterministic ramp vector (1, 2, ..., n
+    normalized; the all-ones vector can be exactly orthogonal to the dominant
+    eigenvector of a demeaned Gram matrix, which locks the iteration onto a
+    smaller eigenvalue). Each sweep forms one product A.v, takes the Rayleigh
     quotient v.(A.v) of the unit vector v from it, and moves v to A.v
     normalized; the iteration stops when the quotient changes by at most
-    ``tol`` relative between sweeps. Where ``max_iter`` sweeps leave it
-    unsettled, or A.v = 0 at the ramp, ``eigvalsh`` answers.
+    1e-8 relative between sweeps. Where 1,000 sweeps leave it unsettled, or
+    A.v = 0 at the ramp, ``eigvalsh`` answers.
 
-    The input is read in place and never written; with its largest entry
+    The input is read in place and never written, in any memory order: a
+    strided view gets its contiguous copy's answer. With its largest entry
     outside (2**-400, 2**400), either route runs on a copy scaled by a power
     of two.
     Raises DimensionError for input that is not a non-empty 2-d array,
     InvalidParameter for NaN or Inf entries or a result beyond the float
-    range, InvalidMatrix for non-square or asymmetric input (beyond 1e-10
-    relative asymmetry), and InvalidParameter unless ``tol`` is positive and
-    finite and ``max_iter`` is an integer >= 1.
+    range, and InvalidMatrix for non-square or asymmetric input (beyond
+    1e-10 relative asymmetry).
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
@@ -104,8 +105,6 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=1_000):
     n, ncols = a.shape
     if n != ncols:
         raise InvalidMatrix(f"matrix is {n}x{ncols}, not square")
-    positive("tol", tol)
-    integer("max_iter", max_iter)
     if scale == 0.0:
         return 0.0  # zero matrix: valid PSD edge case
     if not np.array_equal(a, a.T) and float(np.max(np.abs(a - a.T))) > _SYMMETRY_RTOL * scale:
@@ -122,21 +121,20 @@ def dominant_eigenvalue(m, tol=1e-10, max_iter=1_000):
 
     # sqrt(w.w) is np.linalg.norm's own formula for a real 1-d vector.
     # ndarray.dot forms the BLAS product that @ forms on a C- or F-ordered
-    # matrix at a smaller call cost; @ stays for a strided one, which it
-    # multiplies without BLAS and so with its own rounding
-    matvec = a.dot if a.flags.forc else a.__matmul__
+    # matrix at a smaller call cost; on a strided one it forms its contiguous
+    # copy's product, where @ would multiply without BLAS
     sqrt = math.sqrt
     v = np.arange(1.0, n + 1.0)
     v /= sqrt(v.dot(v))
     tiny = np.finfo(float).tiny
     lam, settled = None, False
-    for _ in range(max_iter):
-        w = matvec(v)
+    for _ in range(_SWEEPS):
+        w = a.dot(v)
         wn = sqrt(w.dot(w))
         if wn == 0.0:  # the ramp start lies in the nullspace
             break
         lam_new = float(v.dot(w))
-        settled = lam is not None and abs(lam_new - lam) <= tol * max(abs(lam_new), tiny)
+        settled = lam is not None and abs(lam_new - lam) <= _SWEEP_RTOL * max(abs(lam_new), tiny)
         lam = lam_new
         if settled:
             break

@@ -56,7 +56,6 @@ from .errors import (
 from .linalg import as_vector, dominant_eigenvalue, finite, positive
 from .projections import project_simplex
 
-_EIG_TOL = 1e-8
 # rounds of active-set corrections before the face finish gives up
 _CORRECTIONS = 50
 _EPS_HAT = 1e-4  # the default eps_hat, also BacktestConfig's and the command line's
@@ -144,8 +143,8 @@ def build_sharpe_model(r, eps_hat=_EPS_HAT):
     p is the column mean of the returns; the demeaned, 1/sqrt(T-1)-scaled
     matrix forms the Gram term; eps_hat*I regularizes it. Both steps work in
     place on arrays the build allocates, with the rounding of the direct
-    formula. lambda1 is :func:`fracopt.linalg.dominant_eigenvalue`'s answer at
-    tol 1e-8. Raises DegenerateModel when the mean, the Gram matrix or lambda1
+    formula. lambda1 is :func:`fracopt.linalg.dominant_eigenvalue`'s answer.
+    Raises DegenerateModel when the mean, the Gram matrix or lambda1
     leaves the float range, when fewer than N+1 rows leave the Gram matrix
     singular and eps_hat is lost to rounding beside lambda1 (so w.Q.w can
     round below zero), or when :class:`SharpeModel` finds no step bound.
@@ -160,7 +159,7 @@ def build_sharpe_model(r, eps_hat=_EPS_HAT):
         q_eps = q.T @ q
         q_eps.flat[:: n + 1] += eps_hat
     try:  # an overflow above leaves q_eps non-finite, which dominant_eigenvalue rejects
-        lambda1 = dominant_eigenvalue(q_eps, tol=_EIG_TOL)
+        lambda1 = dominant_eigenvalue(q_eps)
     except InvalidParameter as exc:
         raise DegenerateModel(f"the returns leave the float range: {exc}") from None
     if t - 1 < n and eps_hat <= n * lambda1 * 2.0**-52:

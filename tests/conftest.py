@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: the simplex oracle
 enumerates every support pattern of the constrained least-squares problem,
 and the gradient oracle uses central finite differences. The run's header
-names the OpenBLAS core numpy dispatched to.
+names the OpenBLAS core numpy dispatched to, and ``assert_core_pin``
+checks a byte pin against the digest frozen under that core.
 """
 
 import ctypes
@@ -35,9 +36,27 @@ def openblas_core():
 
 
 def pytest_report_header(config):
-    # tests that pin bytes through BLAS hold for the kernel they were frozen
-    # under; the run log names the one in use
+    # tests that pin bytes through BLAS hold one digest per kernel; the run
+    # log names the one in use
     return f"OpenBLAS core: {openblas_core()}"
+
+
+def assert_core_pin(got, pins):
+    """Assert that ``got`` equals the pin in ``pins`` for the OpenBLAS core in use.
+
+    Bytes that pass through ``ndarray.dot``, which is BLAS even on
+    2-vectors, round as the core's kernel does, so their digest is pinned
+    per core: ``pins`` maps each name ``openblas_core`` reports to its
+    digest. A core with no entry fails, naming itself and the digest it
+    got. Anything but a dict is one pin for every core, of bytes no BLAS
+    product reaches.
+    """
+    if not isinstance(pins, dict):
+        assert got == pins
+        return
+    core = openblas_core()
+    assert core in pins, f"no pin for OpenBLAS core {core}; it gave {got!r}"
+    assert got == pins[core], f"OpenBLAS core {core}"
 
 
 def simplex_qp_oracle(x):

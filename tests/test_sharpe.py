@@ -107,15 +107,13 @@ class TestBuildModel:
     def test_lambda1_from_lapack_past_the_sweep_budget(self):
         # low-volatility returns leave the top eigenvalues of Q_eps so close
         # that the power iteration settles only after 2,629 sweeps here, on a
-        # value other than LAPACK's; within its default budget of 1,000
-        # sweeps dominant_eigenvalue answers with LAPACK's. 40 assets take
-        # the sweep: up to 32, LAPACK answers without one
+        # value other than LAPACK's; within its budget of 1,000 sweeps
+        # dominant_eigenvalue answers with LAPACK's. 40 assets take the
+        # sweep: up to 32, LAPACK answers without one
         values = np.random.default_rng(0).normal(0.005, 0.04, (80, 40)) * 0.01
         model = build_sharpe_model(returns_matrix(values))
         lapack = float(np.linalg.eigvalsh(model.q_eps)[-1])
-        assert dominant_eigenvalue(model.q_eps, tol=1e-8, max_iter=2_629) != lapack
-        assert dominant_eigenvalue(model.q_eps, tol=1e-8, max_iter=2_628) == lapack
-        assert dominant_eigenvalue(model.q_eps, tol=1e-8) == lapack
+        assert dominant_eigenvalue(model.q_eps) == lapack
         assert model.lambda1 == lapack
 
     def test_lambda1_costs_one_call_and_one_lapack_solve(self, monkeypatch):
@@ -143,7 +141,7 @@ class TestBuildModel:
         rng = np.random.default_rng(13)
         for _ in range(20):
             model = random_model(rng)
-            assert model.lambda1 == dominant_eigenvalue(model.q_eps, tol=1e-8)
+            assert model.lambda1 == dominant_eigenvalue(model.q_eps)
 
     def test_zero_mean_degenerate(self):
         with pytest.raises(DegenerateModel):
