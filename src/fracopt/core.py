@@ -13,12 +13,16 @@ to a fixed point of the update map.
 The loop checks each trial point with the errors of ``FractionalProblem.ratio``
 and raises NumericalBreakdown, naming the iteration, on a NaN or Inf update.
 
-Every iteration runs one step search. A trial step a is halved until the
-ratio decreases sufficiently, but never below alpha, where the step is
-accepted as is. The two step rules differ only in the trial step and the
-stopping test. The fixed rule (the paper's path and the default of
-:func:`pga_solve`) tries alpha itself, so each step takes one projection,
-and stops on the relative iterate change. The adaptive rule
+Every iteration runs one step search with one projection, the line search
+of Birgin, Martinez & Raydan's SPG2: the point projected at a trial step a
+is tried first, then points halfway, a quarter of the way and so on along
+the segment from the iterate to it, until the ratio decreases sufficiently.
+Once the fraction times a is at most alpha, the point projected at alpha is
+accepted as is, the one case of a second projection. The two step rules
+differ only in the trial step and the stopping test. The fixed rule (the
+paper's path and the default of :func:`pga_solve`) tries alpha itself, so
+each step is accepted at once, and stops on the relative iterate change.
+The adaptive rule
 (``PgaConfig(adaptive=True)``) tries 1/g(x0), the unit step on the ratio,
 and then Barzilai-Borwein (spectral) steps (after Birgin, Martinez &
 Raydan's spectral projected gradient and Bot & Csetnek's proximal-gradient
@@ -138,11 +142,12 @@ class PgaConfig:
 
     ``alpha=None`` selects the default 0.99 * step_bound of the problem.
 
-    Both rules take the update x+ = P(x - a*grad_f + a*c*grad_g) with
-    c = f(x)/g(x), and search the step a the same way: a trial step is
-    halved until c(x+) <= c(x) - 1e-4 * ||x+ - x||^2 / (a*g(x)), but never
-    below alpha, where the step is accepted as is, so the ratio decreases
-    monotonically.
+    Both rules project once at a trial step a, with c = f(x)/g(x) and
+    D = P(x - a*grad_f + a*c*grad_g) - x, and search the segment to that
+    point the same way: x+ = x + t*D for t = 1, 1/2, 1/4, ..., the first
+    point where c(x+) <= c(x) - 1e-4 * t * ||D||^2 / (a*g(x)). Once t*a is
+    at most alpha, x+ = P(x - alpha*grad_f + alpha*c*grad_g) is accepted as
+    is, so the ratio decreases monotonically.
 
     Fixed step (``adaptive=False``, the paper's iteration): the trial step
     is alpha, so every step is alpha; stop when the relative iterate change
@@ -152,7 +157,8 @@ class PgaConfig:
     Adaptive step (``adaptive=True``): with d = grad_f - c*grad_g, the first
     trial step is a = 1/g(x0), each later one the Barzilai-Borwein step
     ||s||^2 / s.y (s = x+ - x, y = d+ - d), doubled instead when s.y <= 0.
-    Stop when the gradient mapping of the ratio ||x+ - x|| / (a*g(x)) <= tol.
+    Stop when ||x+ - x|| / (a*g(x)) <= tol, with a the step of the
+    projection (the gradient mapping of the ratio where t = 1).
     When the problem has a ``finish`` (an exact minimiser reached by
     corrections from the face of x), it is called after an accepted
     iteration once the zero pattern of x has been unchanged for 3 accepted
@@ -265,33 +271,47 @@ def _run_pga(problem, x0, cfg):
                 step = move * move / curvature if curvature > 0.0 else _GROWTH * step
             step = min(step, _MAX_STEP)
             d = d_next
-        # step search: halve the trial until the ratio decreases sufficiently,
-        # never below alpha, where the step is accepted as is
+        # step search (Birgin, Martinez & Raydan's SPG2): project once at the
+        # trial step, then halve t along the segment from x to that point
+        # until the ratio decreases sufficiently; once t*step is at most
+        # alpha, project at alpha and accept that point as is
+        if not step > alpha:
+            step = alpha
+        t = 1.0
         while True:
-            if not step > alpha:
-                step = alpha
-            step_dir = x - step * grad_n + (step * c) * grad_d
-            # a NaN or Inf anywhere makes the sum (np.add.reduce) non-finite
-            if not isfinite(add_reduce(step_dir)):
-                raise NumericalBreakdown(f"non-finite update at iteration {k}")
-            x_next = projection(step_dir)
+            if t == 1.0:
+                step_dir = x - step * grad_n + (step * c) * grad_d
+                # a NaN or Inf anywhere makes the sum (np.add.reduce) non-finite
+                if not isfinite(add_reduce(step_dir)):
+                    raise NumericalBreakdown(f"non-finite update at iteration {k}")
+                x_next = projection(step_dir)
+                diff = x_next - x
+                dd = diff.dot(diff)
+            else:
+                x_next = x + t * diff
             # _f_and_g's checks; it is called only to raise its own error
             g_next = float(eval_g(x_next))
             f_next = float(eval_f(x_next)) if g_next > 0.0 else math.nan
             if f_next != f_next:
                 f_next, g_next = f_and_g(x_next)
             c_next = f_next / g_next
+            if step == alpha or c_next <= c - _SIGMA * t * dd / (step * gx):
+                break
+            t *= 0.5
+            if not t * step > alpha:
+                step, t = alpha, 1.0
+        if t < 1.0:
+            # the accepted move, for the stop test and the next trial step
             diff = x_next - x
             dd = diff.dot(diff)
-            if step == alpha or c_next <= c - _SIGMA * dd / (step * gx):
-                break
-            step *= 0.5
         move = sqrt(dd)
         if trace is not None:
             trace.iterates.append(x)
             trace.ratios.append(c)
         if adaptive:
-            # gradient mapping of the ratio, whose own step is step*g(x)
+            # the accepted move over the projection's step on the ratio,
+            # step*g(x): the gradient mapping where t = 1. The mapping itself,
+            # ||D||/(step*g(x)), kept some two-period windows from stopping
             measure = move / (step * gx)
         else:
             base = sqrt(x.dot(x))

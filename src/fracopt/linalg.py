@@ -4,8 +4,9 @@ Every parameter and vector the package takes is checked on entry by
 ``positive``, ``nonnegative``, ``integer``, ``choice``, ``finite`` or
 ``as_vector``, each raising InvalidParameter that names the input. All
 arithmetic is 64-bit floating point on numpy arrays, and the routines never
-mutate their inputs; ``dominant_eigenvalue`` reads its matrix in place, so a
-model build hands it the Gram matrix it has just formed without a copy.
+mutate their inputs; ``dominant_eigenvalue`` reads a C-ordered matrix in
+place, so a model build hands it the Gram matrix it has just formed without
+a copy.
 """
 
 import math
@@ -83,10 +84,11 @@ def dominant_eigenvalue(m):
     1e-8 relative between sweeps. Where 1,000 sweeps leave it unsettled, or
     A.v = 0 at the ramp, ``eigvalsh`` answers.
 
-    The input is read in place and never written, in any memory order: a
-    strided view gets its contiguous copy's answer. With its largest entry
-    outside (2**-400, 2**400), either route runs on a copy scaled by a power
-    of two.
+    The input is never written, and a C-ordered one is read in place. Any
+    other memory order gets the C-ordered copy's answer: an exactly
+    symmetric Fortran-ordered matrix is swept as its transpose, any other
+    as a copy. With its largest entry outside (2**-400, 2**400), either
+    route runs on a copy scaled by a power of two.
     Raises DimensionError for input that is not a non-empty 2-d array,
     InvalidParameter for NaN or Inf entries or a result beyond the float
     range, and InvalidMatrix for non-square or asymmetric input (beyond
@@ -107,7 +109,8 @@ def dominant_eigenvalue(m):
         raise InvalidMatrix(f"matrix is {n}x{ncols}, not square")
     if scale == 0.0:
         return 0.0  # zero matrix: valid PSD edge case
-    if not np.array_equal(a, a.T) and float(np.max(np.abs(a - a.T))) > _SYMMETRY_RTOL * scale:
+    symmetric = np.array_equal(a, a.T)
+    if not symmetric and float(np.max(np.abs(a - a.T))) > _SYMMETRY_RTOL * scale:
         raise InvalidMatrix("matrix asymmetry exceeds 1e-10 relative")
     # sweep 2**-e * A, where w.w neither over- nor underflows; scaling by a
     # power of two is exact, so lambda is the plain sweep's where that is in range
@@ -119,10 +122,13 @@ def dominant_eigenvalue(m):
     if n <= _LAPACK_ROWS:
         return _unscaled(float(np.linalg.eigvalsh(a)[-1]), e)
 
-    # sqrt(w.w) is np.linalg.norm's own formula for a real 1-d vector.
-    # ndarray.dot forms the BLAS product that @ forms on a C- or F-ordered
-    # matrix at a smaller call cost; on a strided one it forms its contiguous
-    # copy's product, where @ would multiply without BLAS
+    # ndarray.dot forms the BLAS product that @ forms at a smaller call cost,
+    # but sums in another order on a Fortran-ordered matrix and copies a
+    # strided one on every call; so sweep the C-ordered A^T where A is exactly
+    # symmetric and Fortran-ordered, else a C-ordered copy.
+    # sqrt(w.w) is np.linalg.norm's own formula for a real 1-d vector
+    if not a.flags.c_contiguous:
+        a = a.T if symmetric and a.flags.f_contiguous else np.ascontiguousarray(a)
     sqrt = math.sqrt
     v = np.arange(1.0, n + 1.0)
     v /= sqrt(v.dot(v))

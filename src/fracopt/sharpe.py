@@ -13,8 +13,10 @@ step size is eps / (2*N*lambda1*||p||), lambda1 being the largest
 eigenvalue of the regularized Gram matrix; it is about 1e-4 at N >= 30, too
 small to reach the optimum in a practical number of iterations. ``srm_pga``
 therefore runs the adaptive-step iteration by default (Barzilai-Borwein trial
-steps, backtracking on the ratio down to the admissible step, stopped on the
-step-normalised gradient mapping; see :class:`fracopt.core.PgaConfig`).
+steps, one simplex projection per iteration with backtracking on the ratio
+along the segment to the projected point, down to the admissible step,
+stopped on the step-normalised gradient mapping; see
+:class:`fracopt.core.PgaConfig`).
 Passing ``PgaConfig()`` selects the paper's fixed-step iteration. Both step
 rules start where ``_start``'s one rule puts them, at a positive Sharpe ratio
 whenever some mean is positive, which certifies the answer.
@@ -331,9 +333,10 @@ def srm_pga(model, cfg=None):
     """Run the proximal gradient iteration on a Sharpe model.
 
     The default config is ``PgaConfig(adaptive=True)``: Barzilai-Borwein
-    trial steps with monotone backtracking on the ratio, never below 0.99 of
-    the admissible bound, until the step-normalised gradient mapping is at
-    most tol 1e-5, for at most 1e5 iterations. ``PgaConfig()`` gives the
+    trial steps, each projected once, with monotone backtracking on the
+    ratio along the segment to the projected point, never below 0.99 of the
+    admissible bound, until the step-normalised gradient mapping is at most
+    tol 1e-5, for at most 1e5 iterations. ``PgaConfig()`` gives the
     paper's fixed step at 0.99 of the admissible bound with the
     relative-change stop.
 

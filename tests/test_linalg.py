@@ -176,22 +176,27 @@ class TestDominantEigenvalue:
         assert not np.any(restart @ np.arange(1.0, 41.0))
         matrices.append(restart)
         matrices.append(np.outer(u, u) * 1e-3)
-        # read in place in every memory order: Fortran, strided and reversed.
-        # A strided or reversed view gets its C-ordered copy's answer: @
-        # skipped BLAS on such views and moved the last bits at 40 and 64 rows
+        # every memory order: Fortran, strided and reversed. Each gets its
+        # C-ordered copy's answer: @ skipped BLAS on strided and reversed views,
+        # and ndarray.dot sums a Fortran-ordered matrix in another order, and
+        # both moved the last bits at 40 and 64 rows
         views = []
         for n in (3, 10, 40, 64):
             m = random_psd(rng, n)
             padded = np.zeros((2 * n, 2 * n))
             padded[::2, ::2] = m
-            matrices.append(np.asfortranarray(m))
+            # within the symmetry tolerance, but not A^T: swept as a copy
+            skewed = m.copy()
+            skewed[0, -1] *= 1.0 + 1e-12
+            views += [np.asfortranarray(m), np.asfortranarray(skewed)]
             views += [padded[::2, ::2], m[::-1, ::-1]]
-        for m in matrices + views:
+        copies = [np.ascontiguousarray(view) for view in views]
+        for m in matrices + copies:
             expected = frozen_power_sweep(m)
             got = dominant_eigenvalue(m)
             assert np.float64(got).tobytes() == np.float64(expected).tobytes()
-        for view in views:
-            assert dominant_eigenvalue(view) == dominant_eigenvalue(np.ascontiguousarray(view))
+        for view, copy in zip(views, copies):
+            assert dominant_eigenvalue(view) == dominant_eigenvalue(copy)
         assert dominant_eigenvalue(restart) == float(np.linalg.eigvalsh(restart)[-1])
         assert dominant_eigenvalue(restart) == pytest.approx(5.0, rel=1e-9)
 
