@@ -28,8 +28,9 @@ and then Barzilai-Borwein (spectral) steps (after Birgin, Martinez &
 Raydan's spectral projected gradient and Bot & Csetnek's proximal-gradient
 methods for fractional programs), and stops on the step-normalised gradient
 mapping of the ratio, which, unlike the relative iterate change, does not
-shrink with the step size. So no part of it changes when f and g scale by a
-power of two and the step bound by its reciprocal.
+shrink with the step size, or where the ratio no longer falls at alpha. So
+no part of it changes when f and g scale by a power of two and the step
+bound by its reciprocal.
 
 A problem may also supply an exact finish (``FractionalProblem.finish``).
 The adaptive rule tries it once for each face the iterate settles on, when
@@ -157,8 +158,14 @@ class PgaConfig:
     Adaptive step (``adaptive=True``): with d = grad_f - c*grad_g, the first
     trial step is a = 1/g(x0), each later one the Barzilai-Borwein step
     ||s||^2 / s.y (s = x+ - x, y = d+ - d), doubled instead when s.y <= 0.
-    Stop when ||x+ - x|| / (a*g(x)) <= tol, with a the step of the
-    projection (the gradient mapping of the ratio where t = 1).
+    Stop when the gradient mapping of the ratio at the projection's step,
+    ||D|| / (a*g(x)), read as ||x+ - x|| / (t*a*g(x)), is at most tol; it
+    reads 0 where the accepted move rounds to nothing. Also stop at x, not
+    taking x+, where x+ is the point projected at alpha and c(x+) >= c(x):
+    at an admissible alpha (the default) the ratio falls unless x is
+    stationary, so x is stationary to the rounding of f and g. With a
+    ``finish``, this second stop waits until the face of x has been offered
+    and declined.
     When the problem has a ``finish`` (an exact minimiser reached by
     corrections from the face of x), it is called after an accepted
     iteration once the zero pattern of x has been unchanged for 3 accepted
@@ -309,10 +316,16 @@ def _run_pga(problem, x0, cfg):
             trace.iterates.append(x)
             trace.ratios.append(c)
         if adaptive:
-            # the accepted move over the projection's step on the ratio,
-            # step*g(x): the gradient mapping where t = 1. The mapping itself,
-            # ||D||/(step*g(x)), kept some two-period windows from stopping
-            measure = move / (step * gx)
+            # the gradient mapping of the ratio at the projection's step,
+            # ||D||/(step*g(x)), read from the accepted move t*D: it is 0
+            # only where that move rounds to nothing and x cannot move
+            measure = move / (t * step * gx)
+            if step == alpha and not c_next < c and (finish is None or zeros in declined):
+                # the ratio falls at the admissible step unless x is
+                # stationary; where it does not, and no finish is left to
+                # try on this face, x is stationary to the oracle's
+                # rounding: stay there and stop
+                x_next, c_next, g_next, measure = x, c, gx, 0.0
         else:
             base = sqrt(x.dot(x))
             measure = move / base if base > 0.0 else move

@@ -85,10 +85,9 @@ def dominant_eigenvalue(m):
     A.v = 0 at the ramp, ``eigvalsh`` answers.
 
     The input is never written, and a C-ordered one is read in place. Any
-    other memory order gets the C-ordered copy's answer: an exactly
-    symmetric Fortran-ordered matrix is swept as its transpose, any other
-    as a copy. With its largest entry outside (2**-400, 2**400), either
-    route runs on a copy scaled by a power of two.
+    other memory order is swept as its C-ordered copy. With its largest
+    entry outside (2**-400, 2**400), either route runs on a copy scaled by a
+    power of two.
     Raises DimensionError for input that is not a non-empty 2-d array,
     InvalidParameter for NaN or Inf entries or a result beyond the float
     range, and InvalidMatrix for non-square or asymmetric input (beyond
@@ -109,8 +108,7 @@ def dominant_eigenvalue(m):
         raise InvalidMatrix(f"matrix is {n}x{ncols}, not square")
     if scale == 0.0:
         return 0.0  # zero matrix: valid PSD edge case
-    symmetric = np.array_equal(a, a.T)
-    if not symmetric and float(np.max(np.abs(a - a.T))) > _SYMMETRY_RTOL * scale:
+    if not np.array_equal(a, a.T) and float(np.max(np.abs(a - a.T))) > _SYMMETRY_RTOL * scale:
         raise InvalidMatrix("matrix asymmetry exceeds 1e-10 relative")
     # sweep 2**-e * A, where w.w neither over- nor underflows; scaling by a
     # power of two is exact, so lambda is the plain sweep's where that is in range
@@ -124,11 +122,9 @@ def dominant_eigenvalue(m):
 
     # ndarray.dot forms the BLAS product that @ forms at a smaller call cost,
     # but sums in another order on a Fortran-ordered matrix and copies a
-    # strided one on every call; so sweep the C-ordered A^T where A is exactly
-    # symmetric and Fortran-ordered, else a C-ordered copy.
-    # sqrt(w.w) is np.linalg.norm's own formula for a real 1-d vector
-    if not a.flags.c_contiguous:
-        a = a.T if symmetric and a.flags.f_contiguous else np.ascontiguousarray(a)
+    # strided one on every call; so sweep a C-ordered matrix, a copy unless
+    # A is one. sqrt(w.w) is np.linalg.norm's own formula for a real 1-d vector
+    a = np.ascontiguousarray(a)
     sqrt = math.sqrt
     v = np.arange(1.0, n + 1.0)
     v /= sqrt(v.dot(v))
